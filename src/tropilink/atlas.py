@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from .canonical import canonical_form
 from .connectivity import edge_connectivity_capped
-from .graphs import Graph, GraphError, WeightedGraph, build_graph, contract
+from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
+                     build_graph, contract)
 
 
 def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
@@ -82,19 +83,7 @@ def _edges_of(loops, mult):
 
 
 def _is_connected(n, edges):
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    return len({find(v) for v in range(n)}) == 1
+    return not any(_component_roots(range(n), edges).values())  # all roots 0
 
 
 def _leg_distributions(n_legs, nv):

@@ -102,6 +102,8 @@ class LinkageCertificate:
     def __init__(self, graphs, steps, mode: str, p: int, leg_mode: str = "labeled"):
         if mode not in ("plain", "3ec"):
             raise GraphError(f"unknown certificate mode {mode!r}")
+        if leg_mode not in ("labeled", "unlabeled"):
+            raise GraphError(f"unknown leg mode {leg_mode!r}")
         if len(steps) != max(len(graphs) - 1, 0):
             raise GraphError("a chain of n graphs needs n-1 steps")
         self.graphs = list(graphs)
@@ -204,8 +206,13 @@ def _check_cert_cycles(problems, idx, graph, edge, cycles):
     sets = []
     for which, keys in zip(("first", "second"), cycles):
         try:
+            for e in keys:
+                if e not in graph.edges:
+                    raise GraphError(f"edge {e} does not exist")
             verts = []
             k = len(keys)
+            if k == 0:
+                raise GraphError("a cycle needs at least one edge")
             if k == 1:
                 a, b = graph.edge_ends(keys[0])
                 if a != b:
@@ -334,6 +341,27 @@ def certificate_to_json_dict(cert: LinkageCertificate) -> dict:
     }
 
 
+def _int(x, what: str) -> int:
+    """x itself when it is an int (bools excluded), else GraphError."""
+    if type(x) is not int:
+        raise GraphError(f"malformed certificate JSON: {what} must be an "
+                         f"integer, not {x!r}")
+    return x
+
+
+def _id_map(m: dict, what: str) -> dict[int, int]:
+    """A witness map: decimal-string (or int) keys, int values."""
+    out = {}
+    for k, v in m.items():
+        if isinstance(k, str):
+            try:
+                k = int(k)
+            except ValueError:
+                pass
+        out[_int(k, f"{what} key")] = _int(v, f"{what} value")
+    return out
+
+
 def certificate_from_json_dict(d: dict) -> LinkageCertificate:
     try:
         graphs = []
@@ -341,19 +369,25 @@ def certificate_from_json_dict(d: dict) -> LinkageCertificate:
             graphs.append(underlying_graph(from_json_dict(gd)))
         steps = []
         for s in d["steps"]:
-            i = s["left_index"]
+            i = _int(s["left_index"], "left_index")
             w = s["witness"]
             witness = (
-                {int(k): v for k, v in w["vertices"].items()},
-                {int(k): v for k, v in w["edges"].items()},
-                {int(k): v for k, v in w.get("legs", {}).items()},
+                _id_map(w["vertices"], "witness vertex"),
+                _id_map(w["edges"], "witness edge"),
+                _id_map(w.get("legs", {}), "witness leg"),
             )
             cycles = None
             if "cycles" in s:
-                cycles = tuple(tuple(c) for c in s["cycles"])
-            steps.append(StrongLinkStep(graphs[i], s["left_edge"], graphs[i + 1],
-                                        s["right_edge"], witness, cycles))
+                if len(s["cycles"]) != 2:
+                    raise GraphError("malformed certificate JSON: a step "
+                                     "records exactly two cycles")
+                cycles = tuple(tuple(_int(e, "cycle edge") for e in c)
+                               for c in s["cycles"])
+            steps.append(StrongLinkStep(graphs[i], _int(s["left_edge"], "left_edge"),
+                                        graphs[i + 1],
+                                        _int(s["right_edge"], "right_edge"),
+                                        witness, cycles))
         return LinkageCertificate(graphs, steps, d["mode"], d["p"],
                                   d.get("leg_mode", "labeled"))
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc

@@ -3,7 +3,8 @@
 Subcommands: link, verify, enumerate, movegraph, polygon, poset,
 check-codim1.  All output is deterministic for fixed inputs; graphs and
 certificates use the JSON schemas of graphs.py and certificates.py.
-Errors surface as a JSON object on stdout and a nonzero exit status.
+Errors surface as a JSON object on stdout and a nonzero exit status: 2 for
+malformed input, 3 when a resource limit (the cycle-search budget) is hit.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from . import atlas, moduli
 from .canonical import canonical_hash
 from .certificates import (certificate_from_json_dict, certificate_to_json_dict,
                            verify_certificate)
+from .connectivity import CycleSearchBudgetExceeded
 from .graphs import (GraphError, dumps_canonical, from_json_dict, to_dot,
                      to_json_dict, underlying_graph)
 from .linkage import link, link_with_legs
@@ -142,8 +144,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="certified linkage of regular multigraphs and "
                     "tropical moduli stratifications",
     )
-    ap.add_argument("--jobs", type=int, default=1,
-                    help="worker cap (the current implementation is sequential)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("link", help="link two p-regular graphs by a certificate")
@@ -204,14 +204,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        sys.stdout.write(dumps_canonical({"error": "--jobs must be >= 1"}))
-        return 2
     try:
         return args.func(args)
     except GraphError as exc:
         sys.stdout.write(dumps_canonical({"error": str(exc)}))
         return 2
+    except CycleSearchBudgetExceeded as exc:
+        sys.stdout.write(dumps_canonical({"error": f"cycle search {exc}"}))
+        return 3
 
 
 if __name__ == "__main__":

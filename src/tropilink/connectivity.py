@@ -1,9 +1,10 @@
 """Valency and connectivity predicates, and exhaustive cycle search.
 
-Edge connectivity is computed exactly, capped at 3, by brute force over
-removal sets; cycle search is a DFS enumeration with canonical-start
-pruning.  Both are meant for desk-scale graphs (tens of edges), where
-exactness beats asymptotics.
+Edge connectivity is computed exactly, capped at 3, from cycle-space labels
+in O(V + E) big-int operations; a brute force over removal sets in the tests
+is its oracle.  Cycle search is a DFS enumeration with canonical-start
+pruning, meant for desk-scale graphs (tens of edges), where exactness beats
+asymptotics.
 
 Cycles are 2-regular subgraphs, so in a multigraph a single loop is a valid
 cycle of length 1 and a pair of parallel edges a valid cycle of length 2.
@@ -18,6 +19,9 @@ from .graphs import Graph, GraphError
 
 class CycleSearchBudgetExceeded(RuntimeError):
     """The cycle DFS hit its node budget; results would be incomplete."""
+
+
+CYCLE_SEARCH_BUDGET = 2_000_000  # DFS steps a cycle search may take by default
 
 
 class Cycle:
@@ -74,43 +78,68 @@ def is_p_regular(g: Graph, p: int) -> bool:
     return all(g.valency(v) == p for v in g.vertices)
 
 
-def _connected_without(g: Graph, removed: frozenset) -> bool:
-    parent = {v: v for v in g.vertices}
+def edge_connectivity_capped(g: Graph) -> int:
+    """min(lambda, 3) for the edge connectivity lambda of g: 1 if g has a
+    bridge, 2 if some two edges disconnect it, 3 otherwise (a one-vertex
+    graph included).  Legs and loops never lie in a cut.
 
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    Exact cycle-space labels (Pritchard & Thurimella, "Fast computation of
+    small cuts via cycle space sampling", ACM TALG 7(4), 2011) with one bit
+    per non-tree edge: a tree edge is labelled by the non-tree edges whose
+    fundamental cycle covers it.  A label 0 is a bridge; two equal labels
+    (a non-tree edge's label is its own bit) are a 2-edge cut.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
     for e in g.edges:
-        if e in removed:
-            continue
         a, b = g.edge_ends(e)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-    root = find(g.vertices[0])
-    return all(find(v) == root for v in g.vertices)
+        if a != b:
+            adj[a].append((e, b))
+            adj[b].append((e, a))
+
+    # BFS spanning tree; `order` grows while it is scanned
+    root = g.vertices[0]
+    parent = {root: None}
+    in_tree = set()
+    order = [root]
+    for v in order:
+        for e, u in adj[v]:
+            if u not in parent:
+                parent[u] = v
+                in_tree.add(e)
+                order.append(u)
+
+    # potential of a vertex: XOR of the bits of its incident non-tree edges
+    potential = dict.fromkeys(g.vertices, 0)
+    bit = 1
+    for v in g.vertices:
+        for e, u in adj[v]:
+            if u > v and e not in in_tree:
+                potential[v] ^= bit
+                potential[u] ^= bit
+                bit <<= 1
+
+    # a tree edge's label is the XOR of the potentials below it
+    labels = []
+    for v in reversed(order[1:]):
+        label = potential[v]
+        if not label:
+            return 1
+        labels.append(label)
+        potential[parent[v]] ^= label
+    # two equal tree labels, or a tree label that is one non-tree edge's bit
+    if len(set(labels)) < len(labels) or any(x & (x - 1) == 0 for x in labels):
+        return 2
+    return 3
 
 
-def edge_connectivity_capped(g: Graph, cap: int = 3) -> int:
-    """Largest k <= cap such that no removal of fewer than k edges
-    disconnects g.  Exact by exhaustion; legs are never removed."""
-    if len(g.vertices) == 1:
-        return cap
-    for size in range(1, cap):
-        for F in combinations(g.edges, size):
-            if not _connected_without(g, frozenset(F)):
-                return size
-    return cap
-
-
-def all_cycles(g: Graph, budget: int = 2_000_000) -> list[Cycle]:
+def all_cycles(g: Graph, budget: int | None = None) -> list[Cycle]:
     """Every cycle of g, each exactly once.
 
-    Raises CycleSearchBudgetExceeded instead of silently truncating.
+    Raises CycleSearchBudgetExceeded instead of silently truncating; the
+    budget defaults to CYCLE_SEARCH_BUDGET.
     """
+    if budget is None:
+        budget = CYCLE_SEARCH_BUDGET
     cycles: list[Cycle] = []
     steps = 0
 
@@ -152,7 +181,7 @@ def all_cycles(g: Graph, budget: int = 2_000_000) -> list[Cycle]:
     return cycles
 
 
-def longest_cycle(g: Graph, budget: int = 2_000_000) -> Cycle | None:
+def longest_cycle(g: Graph, budget: int | None = None) -> Cycle | None:
     """A maximum-length cycle, or None if g has none.
 
     Ties are broken by the lexicographically least canonical vertex
@@ -167,7 +196,7 @@ def longest_cycle(g: Graph, budget: int = 2_000_000) -> Cycle | None:
     return best
 
 
-def is_hamiltonian(g: Graph, budget: int = 2_000_000) -> bool:
+def is_hamiltonian(g: Graph, budget: int | None = None) -> bool:
     """True iff |V| >= 2 and some cycle passes through every vertex."""
     if len(g.vertices) < 2:
         return False
@@ -175,7 +204,7 @@ def is_hamiltonian(g: Graph, budget: int = 2_000_000) -> bool:
     return c is not None and c.length == len(g.vertices)
 
 
-def two_cycle_criterion(g: Graph, budget: int = 2_000_000) -> bool:
+def two_cycle_criterion(g: Graph, budget: int | None = None) -> bool:
     """True iff every edge lies in two cycles meeting only in that edge.
 
     Sufficient for 3-edge-connectivity.  A loop lies in a single cycle, so

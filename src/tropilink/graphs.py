@@ -351,6 +351,27 @@ def petersen_graph() -> Graph:
 # -- contraction -------------------------------------------------------------
 
 
+def _component_roots(vertices: Iterable[int],
+                     pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Union-find: map every vertex to the least vertex of its component in
+    the graph on `vertices` with an edge for each (a, b) in `pairs`."""
+    # a parent is never larger than its child, so after the unions one pass
+    # in increasing order resolves every vertex to its root
+    parent = {v: v for v in sorted(vertices)}
+    for a, b in pairs:
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    for v in parent:
+        parent[v] = parent[parent[v]]
+    return parent
+
+
 class ContractionMap:
     """Record of a contraction: source, target and the id correspondences.
 
@@ -385,21 +406,7 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
     if bad:
         raise GraphError(f"not contractible edges (legs or unknown keys): {sorted(bad)}")
 
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for key in S:
-        a, b = g.edge_ends(key)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    vmap = {v: find(v) for v in g.vertices}
+    vmap = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
     new_vertices = sorted(set(vmap.values()))
 
     drop = set()
@@ -425,23 +432,8 @@ def b1_of_edge_subset(g: Graph, S: Iterable[int]) -> int:
     is the contracted set.
     """
     S = list(S)
-    parent = {v: v for v in g.vertices}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    comps = 0
-    for key in S:
-        a, b = g.edge_ends(key)
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = {find(v) for v in g.vertices}
-    comps = len(roots)
-    return len(S) - len(g.vertices) + comps
+    roots = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
+    return len(S) - len(g.vertices) + len(set(roots.values()))
 
 
 def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:

@@ -1,11 +1,18 @@
+import copy
 import json
 import subprocess
 import sys
 
+import pytest
+
+from tropilink import cli, connectivity
 from tropilink.canonical import are_isomorphic
+from tropilink.certificates import certificate_to_json_dict
 from tropilink.graphs import (dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
                               to_json_dict)
+from tropilink.linkage import link
+from tropilink.normal_form import build_polygon
 
 from conftest import cli_env
 
@@ -144,8 +151,93 @@ def test_outputs_deterministic(tmp_path):
     assert (tmp_path / "c1.json").read_text() == (tmp_path / "c2.json").read_text()
 
 
-def test_jobs_flag_accepted():
-    r = run_cli("--jobs", "4", "polygon", "--p", "3", "--gamma", "4")
-    assert r.returncode == 0
-    r2 = run_cli("--jobs", "0", "polygon", "--p", "3", "--gamma", "4")
-    assert r2.returncode == 2
+def test_jobs_flag_rejected():
+    for argv in (("--jobs", "4", "polygon"), ("polygon", "--jobs", "4")):
+        r = run_cli(*argv, "--p", "3", "--gamma", "4")
+        assert r.returncode == 2
+        assert r.stdout == "" and "usage: tropilink" in r.stderr
+
+
+@pytest.fixture(scope="module")
+def petersen_3ec_cert():
+    """The 3ec certificate from Petersen to P10, as JSON; some of its steps
+    record cycles."""
+    cert = link(petersen_graph(), build_polygon(3, 10), mode="3ec")
+    return certificate_to_json_dict(cert)
+
+
+def _verify_mutated(tmp_path, cert, edit):
+    d = copy.deepcopy(cert)
+    edit(d)
+    (tmp_path / "bad.json").write_text(json.dumps(d))
+    return run_cli("verify", "bad.json", cwd=tmp_path)
+
+
+def _first_step_with_cycles(d):
+    return next(s for s in d["steps"] if "cycles" in s)
+
+
+def test_verify_unknown_leg_mode_is_malformed(tmp_path, petersen_3ec_cert):
+    def edit(d):
+        d["leg_mode"] = -1
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "leg mode" in json.loads(r.stdout)["error"]
+
+
+def test_verify_witness_value_object_is_malformed(tmp_path, petersen_3ec_cert):
+    def edit(d):
+        w = d["steps"][0]["witness"]["vertices"]
+        w[sorted(w, key=int)[0]] = {}
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "witness vertex value" in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("entry", [None, [], True, 2.0])
+def test_verify_cycle_entry_not_an_int_is_malformed(tmp_path, petersen_3ec_cert,
+                                                     entry):
+    def edit(d):
+        _first_step_with_cycles(d)["cycles"][0][1] = entry
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "cycle edge" in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("edges, message", [({"x": 0}, "witness edge key"),
+                                             ([0, 1], "malformed certificate")])
+def test_verify_witness_edges_malformed(tmp_path, petersen_3ec_cert, edges,
+                                        message):
+    def edit(d):
+        w = d["steps"][0]["witness"]
+        w["edges"] = dict(w["edges"], **edges) if isinstance(edges, dict) else edges
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert message in json.loads(r.stdout)["error"]
+
+
+def test_verify_one_recorded_cycle_is_malformed(tmp_path, petersen_3ec_cert):
+    def edit(d):
+        _first_step_with_cycles(d)["cycles"].pop()
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "two cycles" in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("cycle", [[], [10 ** 6]])
+def test_verify_impossible_cycle_is_invalid(tmp_path, petersen_3ec_cert, cycle):
+    def edit(d):
+        _first_step_with_cycles(d)["cycles"][0] = cycle
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 1, r.stdout + r.stderr
+    assert json.loads(r.stdout)["problems"][0]["code"] == "cert_cycles"
+
+
+def test_cycle_search_budget_exits_3(tmp_path, monkeypatch, capsys):
+    write_graph(tmp_path / "petersen.json", petersen_graph())
+    write_graph(tmp_path / "p10.json", build_polygon(3, 10))
+    monkeypatch.setattr(connectivity, "CYCLE_SEARCH_BUDGET", 10)
+    rc = cli.main(["link", str(tmp_path / "petersen.json"),
+                   str(tmp_path / "p10.json")])
+    assert rc == 3
+    assert "budget 10 exhausted" in json.loads(capsys.readouterr().out)["error"]

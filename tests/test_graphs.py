@@ -89,6 +89,29 @@ def test_weighted_contract_all_theta_edges():
     assert genus(out) == 2
 
 
+def test_component_roots_are_least_vertices(rng):
+    from tropilink.graphs import _component_roots
+
+    for _ in range(300):
+        vertices = rng.sample(range(-20, 20), rng.randint(1, 12))
+        pairs = [(rng.choice(vertices), rng.choice(vertices))
+                 for _ in range(rng.randint(0, 14))]
+        adj = {v: set() for v in vertices}
+        for a, b in pairs:
+            adj[a].add(b)
+            adj[b].add(a)
+        want = {}
+        for v in sorted(vertices):  # the first vertex reached is the least
+            if v not in want:
+                stack = [v]
+                while stack:
+                    u = stack.pop()
+                    if u not in want:
+                        want[u] = v
+                        stack.extend(adj[u])
+        assert _component_roots(vertices, pairs) == want
+
+
 def test_contraction_betti_decomposition_randomized(rng):
     # b1(G) = b1(G/S) + b1(G - T) and the per-vertex decomposition
     for _ in range(300):
