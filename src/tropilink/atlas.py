@@ -21,6 +21,8 @@ def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
     first Betti number b with the given number of legs."""
     if p < 3:
         raise GraphError("p must be >= 3")
+    if legs < 0:
+        raise GraphError("the number of legs must be >= 0")
     if b < 2 and legs == 0:
         raise GraphError("enumeration needs b >= 2 when there are no legs")
     num = 2 * b - 2 + legs
@@ -157,6 +159,8 @@ def _degree_sequences(nv: int, total: int, min_each: int):
 def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
     """All stable weighted graphs of genus g with n labeled legs, one per
     isomorphism class, each of dimension |E|."""
+    if n < 0:
+        raise GraphError("the number of legs must be >= 0")
     if 2 * g - 2 + n <= 0:
         raise GraphError("stable graphs need 2g-2+n > 0")
 

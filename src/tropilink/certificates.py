@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .canonical import _match_edges, _match_legs, are_isomorphic, canonical_labeling
 from .connectivity import edge_connectivity_capped
-from .graphs import (Graph, GraphError, contract, from_json_dict, to_json_dict,
-                     underlying_graph)
+from .graphs import (Graph, GraphError, _json_int, contract, from_json_dict,
+                     to_json_dict, underlying_graph)
 
 
 class StrongLinkStep:
@@ -343,10 +343,7 @@ def certificate_to_json_dict(cert: LinkageCertificate) -> dict:
 
 def _int(x, what: str) -> int:
     """x itself when it is an int (bools excluded), else GraphError."""
-    if type(x) is not int:
-        raise GraphError(f"malformed certificate JSON: {what} must be an "
-                         f"integer, not {x!r}")
-    return x
+    return _json_int(x, what, "certificate")
 
 
 def _id_map(m: dict, what: str) -> dict[int, int]:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from typing import Iterable, Mapping
 
 
@@ -563,23 +564,57 @@ def to_json_dict(obj) -> dict:
     return d
 
 
+def _json_int(x, what: str, doc: str = "graph") -> int:
+    """x itself when it is an int (bools excluded), else GraphError."""
+    if type(x) is not int:
+        raise GraphError(f"malformed {doc} JSON: {what} must be an integer, "
+                         f"not {x!r}")
+    return x
+
+
+def _json_length(k, x) -> tuple[int, float]:
+    """One `lengths` entry: a decimal-integer key, a number or "inf"."""
+    if not (isinstance(k, str) and re.fullmatch(r"-?[0-9]+", k)):
+        raise GraphError(f"malformed graph JSON: length key {k!r} is not a "
+                         f"decimal integer")
+    if x == "inf":
+        return int(k), math.inf
+    if type(x) in (int, float):
+        try:
+            return int(k), float(x)
+        except OverflowError:
+            pass
+    raise GraphError(f'malformed graph JSON: length of {k} must be a number '
+                     f'or "inf", not {x!r}')
+
+
 def from_json_dict(d: dict):
-    """Inverse of to_json_dict; returns the most specific of the three types."""
+    """Inverse of to_json_dict; returns the most specific of the three types.
+
+    Ids, weights, partners and labels must be JSON integers (not booleans or
+    floats); anything else raises GraphError.
+    """
     try:
-        vertices = [v["id"] for v in d["vertices"]]
-        weights = {v["id"]: v.get("weight", 0) for v in d["vertices"]}
-        inv = {h["id"]: h["partner"] for h in d["half_edges"]}
-        ep = {h["id"]: h["vertex"] for h in d["half_edges"]}
-        labels = {leg["half_edge"]: leg["label"] for leg in d.get("legs", [])}
+        vertices = [_json_int(v["id"], "vertex id") for v in d["vertices"]]
+        weights = {v["id"]: _json_int(v.get("weight", 0), "vertex weight")
+                   for v in d["vertices"]}
+        inv = {_json_int(h["id"], "half-edge id"):
+               _json_int(h["partner"], "half-edge partner") for h in d["half_edges"]}
+        ep = {h["id"]: _json_int(h["vertex"], "half-edge vertex")
+              for h in d["half_edges"]}
+        labels = {_json_int(leg["half_edge"], "leg half_edge"):
+                  _json_int(leg["label"], "leg label") for leg in d.get("legs", [])}
+        lengths = d.get("lengths")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
+    if len(inv) != len(d["half_edges"]):
+        raise GraphError("malformed graph JSON: duplicate half-edge ids")
     g = Graph(vertices, inv, ep, labels)
-    if "lengths" in d:
-        lengths = {
-            int(k): (math.inf if x == "inf" else float(x))
-            for k, x in d["lengths"].items()
-        }
-        return TropicalCurve(WeightedGraph(g, weights), lengths)
+    if lengths is not None:
+        if not isinstance(lengths, dict):
+            raise GraphError("malformed graph JSON: lengths must be an object")
+        return TropicalCurve(WeightedGraph(g, weights),
+                             dict(_json_length(k, x) for k, x in lengths.items()))
     if any(weights.values()):
         return WeightedGraph(g, weights)
     return g

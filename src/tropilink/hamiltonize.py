@@ -12,8 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .certificates import StrongLinkStep, strong_link_check
-from .connectivity import (Cycle, edge_connectivity_capped, is_hamiltonian,
-                           longest_cycle)
+from .connectivity import Cycle, edge_connectivity_capped, longest_cycle
 from .graphs import Graph, GraphError, InternalConsistencyError, contract
 
 
@@ -68,16 +67,6 @@ def valency_reducing_extension(
     )
 
 
-def _delta_frame(g: Graph, delta: Cycle, v1: int):
-    """Rotate delta so v1 comes first; return (next vertex, e_first, e_last)."""
-    idx = delta.vertices.index(v1)
-    k = delta.length
-    e_first = delta.edge_keys[idx]
-    e_last = delta.edge_keys[(idx - 1) % k]
-    v_next = delta.vertices[(idx + 1) % k]
-    return v_next, e_first, e_last
-
-
 def lengthen_cycle_step(g: Graph, delta: Cycle, mode: str = "plain"):
     """One strong-link move producing a p-regular graph with a longer cycle."""
     Cycle(g, delta.vertices, delta.edge_keys)  # validate against g
@@ -95,7 +84,8 @@ def lengthen_cycle_step(g: Graph, delta: Cycle, mode: str = "plain"):
     a, b = g.edge_ends(e)
     v1, v = (a, b) if a in on else (b, a)
 
-    _, e_first, e_last = _delta_frame(g, delta, v1)
+    idx = delta.vertices.index(v1)
+    e_first, e_last = delta.edge_keys[idx], delta.edge_keys[idx - 1]  # leave, enter v1
     gp, cm = contract(g, {e})
     w = cm.image_vertex(e)
 
@@ -157,6 +147,16 @@ def hamiltonize(g: Graph, mode: str = "plain"):
     empty step list.  In 3ec mode the input must be 3-edge-connected and
     every graph along the way stays so.
     """
+    return _hamiltonize(g, mode)[:2]
+
+
+def _hamiltonize(g: Graph, mode: str):
+    """hamiltonize, also returning the final graph's hamiltonian cycle.
+
+    Each graph of the chain is searched for a longest cycle once; that cycle
+    tells whether the graph is hamiltonian, drives the next move and checks
+    that the previous lengthening move lengthened.
+    """
     if mode not in ("plain", "3ec"):
         raise GraphError(f"unknown mode {mode!r}")
     p = g.is_regular()
@@ -169,21 +169,22 @@ def hamiltonize(g: Graph, mode: str = "plain"):
 
     steps = []
     cur = g
-    while not is_hamiltonian(cur):
-        delta = longest_cycle(cur)
-        if delta is None:
-            raise GraphError("graph has no cycle; cannot hamiltonize")
+    delta = longest_cycle(cur)
+    if delta is None:
+        raise GraphError("graph has no cycle; cannot hamiltonize")
+    while delta.length < len(cur.vertices):
         length_before = delta.length
         cur, step = lengthen_cycle_step(cur, delta, mode)
         steps.append(step)
-        if longest_cycle(cur).length <= length_before:
+        delta = longest_cycle(cur)
+        if delta.length <= length_before:
             raise InternalConsistencyError("lengthening move did not lengthen")
 
     while True:
         loops = sorted(e for e in cur.edges if cur.is_loop(e))
         if not loops:
             break
-        delta = longest_cycle(cur)
         cur, step = remove_loop_step(cur, delta, loops[0], mode)
         steps.append(step)
-    return cur, steps
+        delta = longest_cycle(cur)
+    return cur, steps, delta

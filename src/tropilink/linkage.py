@@ -1,9 +1,11 @@
 """Chord twists, the epsilon-descent to the p-polygon, and full linkage.
 
-The descent works on a fixed normalized form: a twist swaps one endpoint
-pair between two chords, a claim step picks a short chord and a partner
-with disjoint shorter sides minimizing the gap between them, and twisting
-them strictly decreases epsilon.  In plain mode each claim twist is factored through
+The descent works on one hamiltonian frame, a NormalizedForm: a twist swaps
+one endpoint pair between two chords and keeps the hamiltonian cycle, so the
+same vertex order and cycle edges normalize every graph along the way.  A
+claim step picks a short chord and a partner with disjoint shorter sides
+minimizing the gap between them, and twisting them strictly decreases
+epsilon.  In plain mode each claim twist is factored through
 consecutive-vertex swaps (each a strong link contracting the cycle edge
 between the swapped vertices); in 3ec mode the factoring follows two
 explicit schedules of consecutive twists, each of which preserves
@@ -12,8 +14,10 @@ the contracted edge.
 
 Linking two arbitrary p-regular graphs of equal genus: hamiltonize both,
 descend both to the p-polygon, and splice the second chain reversed.  The
-legged variant walks one leg at a time between insertion points and lifts a
-legless chain across.
+hamiltonian cycle that ends hamiltonization is the frame of the descent, so
+no graph of the chain is searched for cycles twice.  The legged variant
+walks one leg at a time between insertion points and lifts a legless chain
+across.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ from __future__ import annotations
 from .canonical import are_isomorphic, isomorphism_witness
 from .certificates import (LinkageCertificate, StrongLinkFailure, StrongLinkStep,
                            strong_link_check, verify_certificate)
-from .connectivity import edge_connectivity_capped
+from .connectivity import Cycle, edge_connectivity_capped
 from .graphs import Graph, GraphError, InternalConsistencyError
-from .hamiltonize import hamiltonize
-from .normal_form import NormalizedForm, build_polygon, normalize
+from .hamiltonize import _hamiltonize
+from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
+                          is_short, normalize, short_arc)
 
 __all__ = [
     "twist", "factor_twist", "twist_3ec", "reduce_to_polygon", "link",
@@ -50,68 +55,31 @@ def _swap_halves(g: Graph, key_a: int, va: int, key_b: int, vb: int) -> Graph:
     return g.with_endpoints({ha: g.endpoint[hb], hb: g.endpoint[ha]})
 
 
-class _Ring:
-    """Fixed hamiltonian frame: vertex order and cycle edges stay put while
-    the graph is twisted around them."""
-
-    def __init__(self, order, cycle_edges):
-        self.order = tuple(order)
-        self.cycle_edges = tuple(cycle_edges)
-        self.gamma = len(order)
-        self.pos = {v: i + 1 for i, v in enumerate(order)}
-
-    def vertex(self, t: int) -> int:
-        return self.order[(t - 1) % self.gamma]
-
-    def cycle_edge(self, t: int) -> int:
-        """Key of the cycle edge joining positions t and t+1."""
-        return self.cycle_edges[(t - 1) % self.gamma]
-
-    def edge_between(self, a: int, b: int) -> int:
-        a = (a - 1) % self.gamma + 1
-        b = (b - 1) % self.gamma + 1
-        if b == a % self.gamma + 1:
-            return self.cycle_edge(a)
-        if a == b % self.gamma + 1:
-            return self.cycle_edge(b)
-        raise GraphError(f"positions {a},{b} are not consecutive")
-
-    def chords(self, g: Graph) -> list[tuple[int, int, int]]:
-        cyc = set(self.cycle_edges)
-        out = []
-        for e in g.edges:
-            if e in cyc:
-                continue
-            a, b = g.edge_ends(e)
-            i, j = sorted((self.pos[a], self.pos[b]))
-            out.append((i, j, e))
-        return sorted(out)
-
-    def chords_at(self, g: Graph, t: int) -> list[int]:
-        v = self.vertex(t)
-        cyc = set(self.cycle_edges)
-        return sorted(e for e in g.edges_at(v) if e not in cyc)
-
-    def swap_step(self, g: Graph, key_a, ta, key_b, tb, cycles=None,
-                  require_3ec=False):
-        """Twist swapping the chord ends at consecutive positions ta, tb;
-        the strong link contracts the cycle edge between them."""
-        e = self.edge_between(ta, tb)
-        g2 = _swap_halves(g, key_a, self.vertex(ta), key_b, self.vertex(tb))
-        if require_3ec and edge_connectivity_capped(g2) != 3:
-            raise InternalConsistencyError(
-                "a scheduled twist lost 3-edge-connectivity"
-            )
-        step = strong_link_check(g, e, g2, e)
-        if not isinstance(step, StrongLinkStep):
-            raise InternalConsistencyError(f"consecutive twist does not link: {step}")
-        if cycles is not None:
-            step.cert_cycles = tuple(tuple(c) for c in cycles)
-        return g2, step
+def _swap_step(nf: NormalizedForm, key_a, ta, key_b, tb, cycles=None,
+               require_3ec=False):
+    """Twist swapping the chord ends at consecutive positions ta, tb; the
+    strong link contracts the cycle edge between them.  Returns the twisted
+    graph's form on the same frame, and the step."""
+    e = nf.edge_between(ta, tb)
+    g2 = _swap_halves(nf.base, key_a, nf.vertex(ta), key_b, nf.vertex(tb))
+    if require_3ec and edge_connectivity_capped(g2) != 3:
+        raise InternalConsistencyError(
+            "a scheduled twist lost 3-edge-connectivity"
+        )
+    step = strong_link_check(nf.base, e, g2, e)
+    if not isinstance(step, StrongLinkStep):
+        raise InternalConsistencyError(f"consecutive twist does not link: {step}")
+    if cycles is not None:
+        step.cert_cycles = tuple(tuple(c) for c in cycles)
+    return nf.with_base(g2), step
 
 
-def _ring_of(nf: NormalizedForm) -> _Ring:
-    return _Ring(nf.order, nf.cycle_edges)
+def _mid_chord(nf: NormalizedForm, t: int, avoid) -> int:
+    """The least chord key at position t other than those in `avoid`."""
+    keys = [key for _, _, key in nf.chords_at(t) if key not in avoid]
+    if not keys:
+        raise InternalConsistencyError(f"no chord available at position {t}")
+    return min(keys)
 
 
 def _resolve_chord(nf: NormalizedForm, chord) -> tuple[int, int, int]:
@@ -144,38 +112,33 @@ def twist(nf: NormalizedForm, chord_a, chord_b, swap) -> Graph:
     keep_b = ib + jb - pb
     if keep_a == pb or keep_b == pa:
         raise GraphError("twist would create a loop")
-    ring = _ring_of(nf)
-    return _swap_halves(nf.base, ka, ring.vertex(pa), kb, ring.vertex(pb))
+    return _swap_halves(nf.base, ka, nf.vertex(pa), kb, nf.vertex(pb))
 
 
 # -- factoring a twist into consecutive swaps ---------------------------------
 
 
-def _factor_walk(ring: _Ring, g: Graph, key_a, pos_a, key_b, pos_b, dirn):
+def _factor_walk(nf: NormalizedForm, key_a, pos_a, key_b, pos_b, dirn):
     """Swap key_a's end at pos_a with key_b's end at pos_b by walking key_a's
     end toward pos_b in direction dirn, one consecutive twist at a time.
 
     Every interior position must avoid the fixed ends of both chords (the
     minimality of the descent pair guarantees this for claim twists).
-    Returns (graph, steps).
+    Returns (form of the twisted graph on the same frame, steps).
     """
-    dist = (dirn * (pos_b - pos_a)) % ring.gamma
+    dist = (dirn * (pos_b - pos_a)) % nf.gamma
     if dist == 0:
         raise GraphError("endpoints to swap sit at the same position")
     if dist == 1:
-        g2, step = ring.swap_step(g, key_a, pos_a, key_b, pos_b)
-        return g2, [step]
+        nf2, step = _swap_step(nf, key_a, pos_a, key_b, pos_b)
+        return nf2, [step]
 
-    mid_pos = (pos_a - 1 + dirn) % ring.gamma + 1
-    mids = [e for e in ring.chords_at(g, mid_pos) if e not in (key_a, key_b)]
-    if not mids:
-        raise InternalConsistencyError(f"no chord available at position {mid_pos}")
-    mid = mids[0]
-
-    g1, s1 = ring.swap_step(g, key_a, pos_a, mid, mid_pos)
-    g2, rest = _factor_walk(ring, g1, key_a, mid_pos, key_b, pos_b, dirn)
-    g3, s3 = ring.swap_step(g2, key_b, mid_pos, mid, pos_a)
-    return g3, [s1] + rest + [s3]
+    mid_pos = (pos_a - 1 + dirn) % nf.gamma + 1
+    mid = _mid_chord(nf, mid_pos, (key_a, key_b))
+    nf1, s1 = _swap_step(nf, key_a, pos_a, mid, mid_pos)
+    nf2, rest = _factor_walk(nf1, key_a, mid_pos, key_b, pos_b, dirn)
+    nf3, s3 = _swap_step(nf2, key_b, mid_pos, mid, pos_a)
+    return nf3, [s1] + rest + [s3]
 
 
 def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkStep]:
@@ -190,8 +153,7 @@ def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkS
     pa, pb = swap
     keep_a = ia + ja - pa
     keep_b = ib + jb - pb
-    ring = _ring_of(nf)
-    gamma = ring.gamma
+    gamma = nf.gamma
 
     options = []
     for dirn in (1, -1):
@@ -203,18 +165,18 @@ def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkS
     if not options:
         raise GraphError("no walk direction avoids the fixed chord ends")
     dirn = min(options)[2]
-    _, steps = _factor_walk(ring, nf.base, ka, pa, kb, pb, dirn)
+    _, steps = _factor_walk(nf, ka, pa, kb, pb, dirn)
     return steps
 
 
 # -- the 3ec single twist (with certifying cycles) ----------------------------
 
 
-def _arc_keys(ring: _Ring, a: int, b: int) -> list[int]:
+def _arc_keys(nf: NormalizedForm, a: int, b: int) -> list[int]:
     """Cycle edge keys e_a..e_b (wrapping allowed, empty if b < a)."""
     if b < a:
         return []
-    return [ring.cycle_edge(t) for t in range(a, b + 1)]
+    return [nf.cycle_edge(t) for t in range(a, b + 1)]
 
 
 def twist_3ec(nf: NormalizedForm, chord_a, chord_b):
@@ -229,15 +191,14 @@ def twist_3ec(nf: NormalizedForm, chord_a, chord_b):
     if edge_connectivity_capped(nf.base) != 3:
         raise GraphError("twist_3ec needs a 3-edge-connected base")
     i, j = ia, ja
-    ring = _ring_of(nf)
     if ib != j + 1 and jb != j + 1:
         raise GraphError("second chord must start at position j+1")
 
-    e_j = ring.cycle_edge(j)
+    e_j = nf.cycle_edge(j)
     if ib == j + 1:                      # case (a): d_(j+1)h with h > j+1
         h = jb
-        cyc1 = [e_j, ka] + _arc_keys(ring, i, j - 1)
-        cyc2 = [e_j] + _arc_keys(ring, j + 1, h - 1) + [kb]
+        cyc1 = [e_j, ka] + _arc_keys(nf, i, j - 1)
+        cyc2 = [e_j] + _arc_keys(nf, j + 1, h - 1) + [kb]
     else:                                # case (b): d_h(j+1) with i < h < j
         h = ib
         if not i < h < j:
@@ -249,31 +210,16 @@ def twist_3ec(nf: NormalizedForm, chord_a, chord_b):
         if not witness:
             raise GraphError("no third chord witnesses case (b)")
         x, y, kw = min(witness)
-        cyc1 = [e_j, ka] + _arc_keys(ring, i, h - 1) + [kb]
-        cyc2 = [e_j] + _arc_keys(ring, j + 1, y - 1) + [kw] + \
-            _arc_keys(ring, x, j - 1)
+        cyc1 = [e_j, ka] + _arc_keys(nf, i, h - 1) + [kb]
+        cyc2 = [e_j] + _arc_keys(nf, j + 1, y - 1) + [kw] + \
+            _arc_keys(nf, x, j - 1)
 
-    g2, step = ring.swap_step(nf.base, ka, j, kb, j + 1,
-                              cycles=(cyc1, cyc2), require_3ec=True)
-    return g2, step
+    nf2, step = _swap_step(nf, ka, j, kb, j + 1,
+                           cycles=(cyc1, cyc2), require_3ec=True)
+    return nf2.base, step
 
 
 # -- claim pair selection ------------------------------------------------------
-
-
-def _amp(gamma: int, i: int, j: int) -> int:
-    return min(j - i, gamma - j + i)
-
-
-def _short_arc_ends(gamma, i, j):
-    """(start, end, length) of the short side, traversed forward."""
-    if j - i < gamma - j + i:
-        return i, j, j - i
-    return j, i, gamma - j + i
-
-
-def _arc_positions(gamma, start, length):
-    return {(start - 1 + t) % gamma + 1 for t in range(length + 1)}
 
 
 class _ClaimSelection:
@@ -291,7 +237,7 @@ class _ClaimSelection:
         return (self.dirn * (a - self.start)) % gamma + 1
 
 
-def _select_claim_pair(gamma: int, chords) -> _ClaimSelection | None:
+def _select_claim_pair(nf: NormalizedForm) -> _ClaimSelection | None:
     """Deterministic minimal-gap claim pair, oriented so both the shift and
     amplitude conditions hold.
 
@@ -300,50 +246,49 @@ def _select_claim_pair(gamma: int, chords) -> _ClaimSelection | None:
     floor(gamma/2), which is what the partner-existence argument actually
     provides; the defect still drops by at least 1 in that case).
     """
-    half = gamma // 2
-    shorts = [(i, j, key) for i, j, key in chords if _amp(gamma, i, j) <= half - 1]
-    weaks = [(i, j, key) for i, j, key in chords if 2 * _amp(gamma, i, j) < gamma]
+    gamma = nf.gamma
+    near = {c[2]: short_arc(nf, c) for c in nf.chords
+            if 2 * amplitude(nf, c) < gamma}
     best = None
-    for (i1, j1, k1), (i2, j2, k2) in (
-        (f, s) for f in shorts for s in weaks if f[2] != s[2]
-    ):
-        fs, fe, fa = _short_arc_ends(gamma, i1, j1)
-        ss, se, sa = _short_arc_ends(gamma, i2, j2)
-        if fa > sa:
+    for c in nf.chords:
+        if not is_short(nf, c):
             continue
-        if _arc_positions(gamma, fs, fa) & _arc_positions(gamma, ss, sa):
-            continue
-        for dirn in (1, -1):
-            if dirn == 1:
-                gap = (ss - fe) % gamma
-                other = (fs - se) % gamma
-                start = fs
-            else:
-                gap = (fs - se) % gamma
-                other = (ss - fe) % gamma
-                start = fe
-            if gap > other:
+        k1, arc1 = c[2], near[c[2]]
+        for k2, arc2 in near.items():
+            if k2 == k1 or len(arc1) > len(arc2):
                 continue
-            j = fa + 1
-            k = j + gap
-            l = k + sa
-            cand = ((gap, j, k, l, -dirn, start, k1, k2),
-                    _ClaimSelection(j, k, l, dirn, start, k1, k2))
-            if best is None or cand[0] < best[0]:
-                best = cand
+            if not set(arc1).isdisjoint(arc2):
+                continue
+            fs, fe, ss, se = arc1[0], arc1[-1], arc2[0], arc2[-1]
+            for dirn in (1, -1):
+                if dirn == 1:
+                    gap = (ss - fe) % gamma
+                    other = (fs - se) % gamma
+                    start = fs
+                else:
+                    gap = (fs - se) % gamma
+                    other = (ss - fe) % gamma
+                    start = fe
+                if gap > other:
+                    continue
+                j = len(arc1)
+                k = j + gap
+                l = k + len(arc2) - 1
+                cand = ((gap, j, k, l, -dirn, start, k1, k2),
+                        _ClaimSelection(j, k, l, dirn, start, k1, k2))
+                if best is None or cand[0] < best[0]:
+                    best = cand
     return best[1] if best else None
 
 
-def _check_selection(gamma: int, chords, sel: _ClaimSelection):
+def _check_selection(nf: NormalizedForm, sel: _ClaimSelection):
     """Assert the k-bound and the mid-chord condition the schedules rely on."""
+    gamma = nf.gamma
     if sel.k > gamma // 2 + 1:
         raise InternalConsistencyError(
             f"selected pair violates the k bound: k={sel.k}, gamma={gamma}"
         )
-    rel_of = {}
-    for i, j, key in chords:
-        rel_of.setdefault(key, []).append((i, j))
-    for i, j, key in chords:
+    for i, j, key in nf.chords:
         if key in (sel.key1, sel.key2):
             continue
         for a in (i, j):
@@ -357,57 +302,49 @@ def _check_selection(gamma: int, chords, sel: _ClaimSelection):
                     )
 
 
-def _epsilon(gamma: int, chords) -> int:
-    half = gamma // 2
-    return sum(half - _amp(gamma, i, j) for i, j, _ in chords)
-
-
 # -- applying one claim twist --------------------------------------------------
 
 
-def _rel_ring(ring: _Ring, sel: _ClaimSelection) -> _Ring:
-    """The ring re-based so the selection reads off positions 1..gamma."""
-    gamma = ring.gamma
-    order = [ring.vertex(sel.to_abs(t, gamma)) for t in range(1, gamma + 1)]
-    cyc = [ring.edge_between(sel.to_abs(t, gamma), sel.to_abs(t + 1, gamma))
+def _rel_form(nf: NormalizedForm, sel: _ClaimSelection) -> NormalizedForm:
+    """The frame re-based so the selection reads off positions 1..gamma."""
+    gamma = nf.gamma
+    order = [nf.vertex(sel.to_abs(t, gamma)) for t in range(1, gamma + 1)]
+    cyc = [nf.edge_between(sel.to_abs(t, gamma), sel.to_abs(t + 1, gamma))
            for t in range(1, gamma + 1)]
-    return _Ring(order, cyc)
+    return NormalizedForm(nf.base, order, cyc)
 
 
-def _apply_claim_plain(ring, g, sel):
-    rel = _rel_ring(ring, sel)
-    return _factor_walk(rel, g, sel.key1, sel.j, sel.key2, sel.k, 1)
+def _apply_claim_plain(nf: NormalizedForm, sel: _ClaimSelection):
+    """The claim twist factored into consecutive swaps; returns the result on
+    the re-based frame, and the steps."""
+    return _factor_walk(_rel_form(nf, sel), sel.key1, sel.j, sel.key2, sel.k, 1)
 
 
-def _apply_claim_3ec(ring, g, sel):
+def _apply_claim_3ec(nf: NormalizedForm, sel: _ClaimSelection):
     """Schedules I and II: consecutive twists whose net effect is the claim
-    twist, each preserving 3-edge-connectivity with recorded cycle pairs."""
-    rel = _rel_ring(ring, sel)
+    twist, each preserving 3-edge-connectivity with recorded cycle pairs.
+    Returns the result on the re-based frame, and the steps."""
+    rel = _rel_form(nf, sel)
     gamma = rel.gamma
     j, k, l = sel.j, sel.k, sel.l
     c1, c2 = sel.key1, sel.key2
 
-    def rel_pos(graph, key, known_end):
-        a, b = (rel.pos[v] for v in graph.edge_ends(key))
+    def rel_pos(form, key, known_end):
+        a, b = (rel.pos[v] for v in form.base.edge_ends(key))
         return b if a == known_end else a
 
-    mids = {}
-    for h in range(j, k - 1):
-        cands = [e for e in rel.chords_at(g, h + 1) if e not in (c1, c2)]
-        if not cands:
-            raise InternalConsistencyError(f"no mid chord at position {h + 1}")
-        mids[h + 1] = cands[0]
+    mids = {h: _mid_chord(rel, h, (c1, c2)) for h in range(j + 1, k)}
 
     steps = []
-    cur = g
+    cur = rel
     # schedule I: walk c1's end from j up to k
     for h in range(j, k):
         partner = c2 if h == k - 1 else mids[h + 1]
         m = rel_pos(cur, partner, h + 1)
         cyc1 = [rel.cycle_edge(h), c1] + _arc_keys(rel, 1, h - 1)
         cyc2 = [rel.cycle_edge(h)] + _arc_keys(rel, h + 1, m - 1) + [partner]
-        cur, step = rel.swap_step(cur, c1, h, partner, h + 1,
-                                  cycles=(cyc1, cyc2), require_3ec=True)
+        cur, step = _swap_step(cur, c1, h, partner, h + 1,
+                               cycles=(cyc1, cyc2), require_3ec=True)
         steps.append(step)
     # schedule II: walk c2's end from k-1 back down to j
     for h in range(k - 1, j, -1):
@@ -425,8 +362,8 @@ def _apply_claim_3ec(ring, g, sel):
             cyc1 = [e_prev, mid] + _arc_keys(rel, m, gamma) + \
                 _arc_keys(rel, 1, h - 2)
             cyc2 = [e_prev] + _arc_keys(rel, h, l - 1) + [c2]
-        cur, step = rel.swap_step(cur, c2, h, mid, h - 1,
-                                  cycles=(cyc1, cyc2), require_3ec=True)
+        cur, step = _swap_step(cur, c2, h, mid, h - 1,
+                               cycles=(cyc1, cyc2), require_3ec=True)
         steps.append(step)
     return cur, steps
 
@@ -444,6 +381,13 @@ def reduce_to_polygon(g: Graph, mode: str = "plain",
     When a list is passed as epsilon_trace, the epsilon value before each
     iteration and after the last one is appended to it.
     """
+    return _descend(g, None, mode, epsilon_trace)
+
+
+def _descend(g: Graph, delta: Cycle | None, mode: str,
+             epsilon_trace: list | None = None) -> LinkageCertificate:
+    """reduce_to_polygon on the frame of delta, a hamiltonian cycle of g
+    (searched for when None)."""
     if mode not in ("plain", "3ec"):
         raise GraphError(f"unknown mode {mode!r}")
     p = g.is_regular()
@@ -451,36 +395,31 @@ def reduce_to_polygon(g: Graph, mode: str = "plain",
         raise GraphError("graph is not regular")
     if mode == "3ec" and edge_connectivity_capped(g) != 3:
         raise GraphError("3ec mode needs a 3-edge-connected input")
-    nf = normalize(g)
-    ring = _Ring(nf.order, nf.cycle_edges)
-    gamma = ring.gamma
+    nf = normalize(g, delta)
+    apply_claim = _apply_claim_plain if mode == "plain" else _apply_claim_3ec
 
     graphs = [g]
     steps: list[StrongLinkStep] = []
-    cur = g
-    eps = _epsilon(gamma, ring.chords(cur))
+    eps = epsilon(nf)
     if epsilon_trace is not None:
         epsilon_trace.append(eps)
     while eps > 0:
-        chords = ring.chords(cur)
-        sel = _select_claim_pair(gamma, chords)
+        sel = _select_claim_pair(nf)
         if sel is None:
             raise InternalConsistencyError("positive epsilon but no claim pair")
-        _check_selection(gamma, chords, sel)
-        if mode == "plain":
-            cur, more = _apply_claim_plain(ring, cur, sel)
-        else:
-            cur, more = _apply_claim_3ec(ring, cur, sel)
+        _check_selection(nf, sel)
+        end, more = apply_claim(nf, sel)
+        nf = nf.with_base(end.base)
         steps.extend(more)
         graphs.extend(s.right for s in more)
-        new_eps = _epsilon(gamma, ring.chords(cur))
+        new_eps = epsilon(nf)
         if new_eps >= eps:
             raise InternalConsistencyError("claim twist did not decrease epsilon")
         eps = new_eps
         if epsilon_trace is not None:
             epsilon_trace.append(eps)
 
-    if not are_isomorphic(cur, build_polygon(p, gamma), leg_mode="unlabeled"):
+    if not are_isomorphic(nf.base, build_polygon(p, nf.gamma), leg_mode="unlabeled"):
         raise InternalConsistencyError("descent ended away from the p-polygon")
     return LinkageCertificate(graphs, steps, mode, p)
 
@@ -543,10 +482,10 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
             return LinkageCertificate([g1], [], mode, p1)
         return _assemble(g1, [step], mode, p1)
 
-    h1, s1 = hamiltonize(g1, mode)
-    h2, s2 = hamiltonize(g2, mode)
-    r1 = reduce_to_polygon(h1, mode)
-    r2 = reduce_to_polygon(h2, mode)
+    h1, s1, delta1 = _hamiltonize(g1, mode)
+    h2, s2, delta2 = _hamiltonize(g2, mode)
+    r1 = _descend(h1, delta1, mode)
+    r2 = _descend(h2, delta2, mode)
 
     steps = list(s1) + list(r1.steps)
     p1_end, p2_end = r1.graphs[-1], r2.graphs[-1]

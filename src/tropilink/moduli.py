@@ -93,7 +93,10 @@ def _parse_locus(locus) -> tuple[str, int | None]:
     if locus in ("all", "pure", "3ec", "three_ec"):
         return ("3ec" if locus == "three_ec" else locus, None)
     if isinstance(locus, str) and locus.startswith("preg:"):
-        return ("preg", int(locus.split(":", 1)[1]))
+        try:
+            return ("preg", int(locus.split(":", 1)[1]))
+        except ValueError:
+            raise GraphError(f"locus {locus!r}: p must be an integer") from None
     raise GraphError(f"unknown locus {locus!r}")
 
 

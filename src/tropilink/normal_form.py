@@ -64,6 +64,21 @@ class NormalizedForm:
         """Key of e_i, the cycle edge joining v_i and v_{i+1}."""
         return self.cycle_edges[(i - 1) % self.gamma]
 
+    def edge_between(self, a: int, b: int) -> int:
+        """Key of the cycle edge joining the consecutive positions a and b."""
+        a = (a - 1) % self.gamma + 1
+        b = (b - 1) % self.gamma + 1
+        if b == a % self.gamma + 1:
+            return self.cycle_edge(a)
+        if a == b % self.gamma + 1:
+            return self.cycle_edge(b)
+        raise GraphError(f"positions {a},{b} are not consecutive")
+
+    def with_base(self, graph: Graph) -> "NormalizedForm":
+        """The same frame on another graph that keeps this hamiltonian cycle,
+        such as a twist of this one."""
+        return NormalizedForm(graph, self.order, self.cycle_edges)
+
     def chord_positions(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.chords]
 

@@ -8,7 +8,7 @@ import pytest
 from tropilink import cli, connectivity
 from tropilink.canonical import are_isomorphic
 from tropilink.certificates import certificate_to_json_dict
-from tropilink.graphs import (dumps_canonical, from_json_dict, k4_graph,
+from tropilink.graphs import (build_graph, dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
                               to_json_dict)
 from tropilink.linkage import link
@@ -129,6 +129,70 @@ def test_malformed_input_gives_json_error(tmp_path):
     r2 = run_cli("poset", "--genus", "0", "--legs", "0")
     assert r2.returncode == 2
     assert "error" in json.loads(r2.stdout)
+
+
+def _set(path, value):
+    """Mutation of a graph's JSON: set the field at `path` to `value`."""
+    def mutate(doc):
+        node = doc
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = value
+    return mutate
+
+
+def _theta_lengths(first):
+    """Mutation adding theta lengths, the first one replaced by `first`."""
+    def mutate(doc):
+        keys = [str(h["id"]) for h in doc["half_edges"] if h["id"] < h["partner"]]
+        doc["lengths"] = {k: 1.0 for k in keys}
+        doc["lengths"][keys[0]] = first
+    return mutate
+
+
+LEGGED = build_graph([(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("graph,mutate", [
+    (theta_graph(), _set(("vertices", 0, "weight"), "x")),
+    (theta_graph(), _set(("vertices", 0, "weight"), 1.5)),
+    (theta_graph(), _set(("vertices", 1, "id"), True)),
+    (theta_graph(), _set(("half_edges", 0, "id"), 0.0)),
+    (theta_graph(), _set(("half_edges", 0, "vertex"), False)),
+    (theta_graph(), _set(("half_edges", 0, "partner"), "1")),
+    (theta_graph(), _set(("half_edges", 1), {"id": 0, "vertex": 0, "partner": 1})),
+    (LEGGED, _set(("legs", 0, "half_edge"), 4.0)),
+    (LEGGED, _set(("legs", 0, "label"), True)),
+    (theta_graph(), _set(("lengths",), {"a": 1.0})),
+    (theta_graph(), _set(("lengths",), [])),
+    (theta_graph(), _theta_lengths("x")),
+    (theta_graph(), _theta_lengths(True)),
+    (theta_graph(), _theta_lengths(None)),
+    (theta_graph(), _theta_lengths(10 ** 400)),
+], ids=["weight-string", "weight-float", "vertex-id-bool", "half-edge-id-float",
+        "half-edge-vertex-bool", "half-edge-partner-string", "half-edge-duplicate",
+        "leg-half-edge-float", "leg-label-bool", "lengths-key", "lengths-list",
+        "length-string", "length-bool", "length-null", "length-overflow"])
+def test_malformed_graph_fields_exit_2(tmp_path, capsys, graph, mutate):
+    doc = to_json_dict(graph)
+    mutate(doc)
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    write_graph(tmp_path / "good.json", graph)
+    rc = cli.main(["link", str(tmp_path / "bad.json"), str(tmp_path / "good.json")])
+    assert rc == 2
+    assert "malformed graph JSON" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["poset", "--genus", "2", "--legs", "-1"],
+    ["check-codim1", "--genus", "2", "--legs", "-1"],
+    ["enumerate", "--p", "3", "--genus", "2", "--legs", "-1"],
+    ["poset", "--genus", "2", "--locus", "preg:x"],
+    ["poset", "--genus", "2", "--locus", "preg:"],
+])
+def test_out_of_range_arguments_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    assert "error" in json.loads(capsys.readouterr().out)
 
 
 def test_graph_json_round_trip_via_cli(tmp_path):

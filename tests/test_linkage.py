@@ -1,9 +1,12 @@
+import importlib
 import itertools
 import random
 
 import pytest
 
 from tropilink.canonical import are_isomorphic
+import tropilink.connectivity as connectivity
+import tropilink.normal_form as normal_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkFailure,
                                     StrongLinkStep, strong_link_check,
                                     verify_certificate)
@@ -11,7 +14,7 @@ from tropilink.connectivity import edge_connectivity_capped, is_hamiltonian
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
 from tropilink.hamiltonize import hamiltonize
-from tropilink.linkage import (_apply_claim_3ec, _apply_claim_plain, _Ring,
+from tropilink.linkage import (_apply_claim_3ec, _apply_claim_plain,
                                _select_claim_pair, factor_twist, link,
                                reduce_to_polygon, twist, twist_3ec)
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
@@ -22,8 +25,8 @@ from test_normal_form import nf_with_chords, p_hamiltonian_classes
 # -- twist ---------------------------------------------------------------------
 
 
-def chord_multiset(ring, g):
-    return sorted((i, j) for i, j, _ in ring.chords(g))
+def chord_multiset(nf):
+    return sorted((i, j) for i, j, _ in nf.chords)
 
 
 def test_twist_k4():
@@ -130,12 +133,11 @@ def test_factor_matches_twist_on_random_claim_pairs(rng):
     cases = 0
     for g in p_hamiltonian_classes(3, 4):
         nf = normalize(g)
-        ring = _Ring(nf.order, nf.cycle_edges)
-        sel = _select_claim_pair(nf.gamma, nf.chords)
+        sel = _select_claim_pair(nf)
         if sel is None:
             continue
         cases += 1
-        cur, steps = _apply_claim_plain(ring, nf.base, sel)
+        cur, steps = _apply_claim_plain(nf, sel)
         assert len(steps) == 2 * (sel.k - sel.j) - 1
         assert verify_certificate(_steps_cert(nf.base, steps)).valid
     assert cases > 0
@@ -245,14 +247,13 @@ def test_schedules_compose_to_claim_twist():
         if edge_connectivity_capped(g) != 3:
             continue
         nf = normalize(g)
-        ring = _Ring(nf.order, nf.cycle_edges)
-        sel = _select_claim_pair(nf.gamma, nf.chords)
+        sel = _select_claim_pair(nf)
         if sel is None:
             continue
-        plain_end, _ = _apply_claim_plain(ring, nf.base, sel)
-        sched_end, _ = _apply_claim_3ec(ring, nf.base, sel)
-        assert chord_multiset(ring, plain_end) == chord_multiset(ring, sched_end)
-        assert are_isomorphic(plain_end, sched_end)
+        plain_end, _ = _apply_claim_plain(nf, sel)
+        sched_end, _ = _apply_claim_3ec(nf, sel)
+        assert chord_multiset(plain_end) == chord_multiset(sched_end)
+        assert are_isomorphic(plain_end.base, sched_end.base)
 
 
 # -- full linkage --------------------------------------------------------------
@@ -275,6 +276,35 @@ def test_link_petersen_polygon_3ec():
     first = cert.steps[0]
     assert first.left == p
     assert is_hamiltonian(first.right)
+
+
+def test_link_searches_each_hamiltonization_graph_once(monkeypatch):
+    # g1 takes lengthening and loop-removal moves, g2 one lengthening move;
+    # the cycle that ends each chain also frames its descent
+    g1 = build_graph([(0, 0), (0, 1), (1, 2), (1, 3), (2, 2), (3, 4), (3, 5),
+                      (4, 4), (5, 5)])
+    g2 = build_graph([(0, 1), (0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5),
+                      (4, 5), (4, 5)])
+    chains = []
+    for g in (g1, g2):
+        _, steps = hamiltonize(g)
+        assert steps
+        chains += [g] + [s.right for s in steps]
+
+    searched = []
+    real = connectivity.longest_cycle
+
+    def counting(g, *args, **kwargs):
+        searched.append(g)
+        return real(g, *args, **kwargs)
+
+    # the package exports the function `hamiltonize` under the module's name
+    hamiltonize_module = importlib.import_module("tropilink.hamiltonize")
+    for mod in (connectivity, hamiltonize_module, normal_form):
+        monkeypatch.setattr(mod, "longest_cycle", counting)
+    cert = link(g1, g2)
+    assert searched == chains
+    assert verify_certificate(cert, endpoints=(g1, g2)).valid
 
 
 def test_link_identity():
@@ -373,13 +403,12 @@ def _claim_sel(nf, pair1, pair2, j, k, l):
 
 
 def _run_schedules(nf, sel):
-    ring = _Ring(nf.order, nf.cycle_edges)
-    plain_end, _ = _apply_claim_plain(ring, nf.base, sel)
-    end, steps = _apply_claim_3ec(ring, nf.base, sel)
+    plain_end, _ = _apply_claim_plain(nf, sel)
+    end, steps = _apply_claim_3ec(nf, sel)
     cert = _steps_cert(nf.base, steps, "3ec", p=nf.base.is_regular())
     assert verify_certificate(cert, mode="3ec").valid
-    assert chord_multiset(ring, end) == chord_multiset(ring, plain_end)
-    return end, steps
+    assert chord_multiset(end) == chord_multiset(plain_end)
+    return end.base, steps
 
 
 def test_schedule_ii_mid_ending_at_k():
