@@ -1,19 +1,32 @@
-"""Exhaustive enumeration oracles for desk-scale graph classes.
+"""Enumeration of graph classes and moduli strata by closure under a move.
 
-Generation works on multiplicity matrices (loop counts on the diagonal)
-filled row by row under degree budgets, followed by a connectivity filter
-and canonical-form deduplication.  Completeness is by construction: every
-labeled multigraph with the prescribed degrees appears, and the canonical
-form identifies isomorphic ones.  Class lists are sorted by canonical
-encoding, so their order is reproducible.
+One engine serves both: a worklist over canonical keys that expands every
+key once with a move function and records the key of each move's target.
+
+- **p-regular classes.**  The move is the strong link: contract a non-loop
+  edge, then split the merged vertex again in every way.  The linkage
+  theorem says the strong-link move graph on p-regular classes of fixed
+  first Betti number is connected, so the closure of a single seed graph
+  reaches every class.
+- **Moduli strata.**  The move is a one-edge weighted contraction.  The
+  tropical moduli space is pure-dimensional, so every stable graph is a
+  weighted contraction of a trivalent weight-zero one, and the downward
+  closure of the 3-regular classes with n legs is every stratum.  The
+  recorded targets are the one-edge covers.
+
+Class lists are sorted by canonical key, and each representative is
+rebuilt from its key (`canonical.from_canonical_form`), so output does not
+depend on the order of generation.  The matrix enumeration that preceded
+this engine is kept in the tests as its independent oracle.
 """
 
 from __future__ import annotations
 
-from .canonical import canonical_form
+from .canonical import canonical_form, from_canonical_form
 from .connectivity import edge_connectivity_capped
-from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
-                     build_graph, contract)
+from .graphs import (Graph, GraphError, WeightedGraph, build_graph, contract,
+                     weighted_contract)
+from .hamiltonize import vertex_splits
 
 
 def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
@@ -36,74 +49,64 @@ def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
     return nv, ne
 
 
-def _matrices(degrees: list[int]):
-    """All loop/multiplicity fillings realizing the degree sequence.
-
-    Yields (loops, mult) with loops[v] the loop count at v and mult[u][v]
-    the number of u-v edges (u < v).
-    """
-    n = len(degrees)
-    loops = [0] * n
-    mult = [[0] * n for _ in range(n)]
-    remaining = list(degrees)
-
-    def fill(v):
-        if v == n:
-            yield ([*loops], [row[:] for row in mult])
-            return
-        # distribute remaining[v] into loops (2 each) and edges to u > v
-        def place(u, left):
-            if left == 0:
-                yield from fill(v + 1)
-                return
-            if u == n:
-                return
-            cap = min(left, remaining[u])
-            for m in range(cap, -1, -1):
-                mult[v][u] = m
-                remaining[u] -= m
-                yield from place(u + 1, left - m)
-                remaining[u] += m
-                mult[v][u] = 0
-
-        for nl in range(remaining[v] // 2, -1, -1):
-            loops[v] = nl
-            yield from place(v + 1, remaining[v] - 2 * nl)
-            loops[v] = 0
-
-    yield from fill(0)
+def _seed(p: int, nv: int, legs: int) -> Graph:
+    """One connected p-regular graph on nv vertices with legs 1..legs: a
+    path, the legs on the first free slots, the other slots paired in turn."""
+    slots = [v for v in range(nv) for _ in range(p - (v > 0) - (v < nv - 1))]
+    rest = slots[legs:]
+    edges = [(v, v + 1) for v in range(nv - 1)] + list(zip(rest[::2], rest[1::2]))
+    return build_graph(edges, legs=zip(slots, range(1, legs + 1)),
+                       isolated=range(nv))
 
 
-def _edges_of(loops, mult):
-    edges = []
-    n = len(loops)
-    for v in range(n):
-        edges.extend([(v, v)] * loops[v])
-        for u in range(v + 1, n):
-            edges.extend([(v, u)] * mult[v][u])
-    return edges
+def _closure(seeds, move) -> dict[tuple, set[tuple]]:
+    """Every canonical key reachable from the seeds, mapped to the keys of
+    its move targets."""
+    targets: dict[tuple, set[tuple] | None] = {}
+    todo = []
+    for g in seeds:
+        key = canonical_form(g, "labeled")
+        if key not in targets:
+            targets[key] = None
+            todo.append((key, g))
+    while todo:
+        key, g = todo.pop()
+        out = set()
+        for h in move(g):
+            hkey = canonical_form(h, "labeled")
+            out.add(hkey)
+            if hkey not in targets:
+                targets[hkey] = None
+                todo.append((hkey, h))
+        targets[key] = out
+    return targets
 
 
-def _is_connected(n, edges):
-    return not any(_component_roots(range(n), edges).values())  # all roots 0
+def _one_edge_per_pair(g: Graph, loops: bool):
+    """One edge key per pair of end vertices; contracting two edges with the
+    same ends gives isomorphic graphs."""
+    by_ends: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        ends = g.edge_ends(e)
+        if (loops or ends[0] != ends[1]) and ends not in by_ends:
+            by_ends[ends] = e
+    return by_ends.values()
 
 
-def _leg_distributions(n_legs, nv):
-    """All assignments of labeled legs 1..n to vertices."""
-    if n_legs == 0:
-        yield {}
-        return
+def _strong_links(g: Graph):
+    """Every graph one strong link away: contract a non-loop edge, then
+    split the merged vertex with its first half-edge on the old side."""
+    for e in _one_edge_per_pair(g, loops=False):
+        mid, cmap = contract(g, {e})
+        w = cmap.image_vertex(e)
+        for split, _ in vertex_splits(mid, w, mid.half_edges_at(w)[:1], ()):
+            yield split
 
-    def rec(label, acc):
-        if label > n_legs:
-            yield dict(acc)
-            return
-        for v in range(nv):
-            acc[label] = v
-            yield from rec(label + 1, acc)
-            del acc[label]
 
-    yield from rec(1, {})
+def _contractions(wg: WeightedGraph):
+    """Every weighted contraction of one edge."""
+    for e in _one_edge_per_pair(wg.graph, loops=True):
+        yield weighted_contract(wg, {e})[0]
 
 
 def enumerate_p_regular(p: int, b: int, filter: str = "all",
@@ -116,44 +119,19 @@ def enumerate_p_regular(p: int, b: int, filter: str = "all",
     if filter not in ("all", "3ec"):
         raise GraphError(f"unknown filter {filter!r}")
     nv, _ = regular_counts(p, b, legs)
-
-    found: dict[tuple, Graph] = {}
-    for leg_at in _leg_distributions(legs, nv):
-        degree = [p] * nv
-        for v in leg_at.values():
-            degree[v] -= 1
-        if any(d < 0 for d in degree):
-            continue
-        for loops, mult in _matrices(degree):
-            edges = _edges_of(loops, mult)
-            if not _is_connected(nv, edges):
-                continue
-            g = build_graph(edges, legs=[(v, lab) for lab, v in sorted(leg_at.items())])
-            key = canonical_form(g, "labeled")
-            if key not in found:
-                found[key] = g
-    out = [found[k] for k in sorted(found)]
+    if b < 0:
+        return []
+    keys = sorted(_closure([_seed(p, nv, legs)], _strong_links))
+    out = [from_canonical_form(k).graph for k in keys]
     if filter == "3ec":
         out = [g for g in out if edge_connectivity_capped(g) == 3]
     return out
 
 
-def _degree_sequences(nv: int, total: int, min_each: int):
-    """Compositions of `total` into nv parts, each at least min_each."""
-
-    def rec(v, left, acc):
-        if v == nv - 1:
-            if left >= min_each:
-                acc.append(left)
-                yield tuple(acc)
-                acc.pop()
-            return
-        for d in range(min_each, left - min_each * (nv - 1 - v) + 1):
-            acc.append(d)
-            yield from rec(v + 1, left - d, acc)
-            acc.pop()
-
-    yield from rec(0, total, [])
+def contraction_closure(graphs) -> dict[tuple, set[tuple]]:
+    """Every stratum below the given graphs, by canonical key, mapped to
+    the keys of its one-edge weighted contractions."""
+    return _closure((WeightedGraph(g) for g in graphs), _contractions)
 
 
 def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
@@ -163,63 +141,8 @@ def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
         raise GraphError("the number of legs must be >= 0")
     if 2 * g - 2 + n <= 0:
         raise GraphError("stable graphs need 2g-2+n > 0")
-
-    found: dict[tuple, WeightedGraph] = {}
-    max_v = 2 * g - 2 + n
-    for nv in range(1, max_v + 1):
-        for b0 in range(0, g + 1):
-            ne = b0 + nv - 1
-            budget = g - b0
-            min_deg = 1 if nv > 1 else 0
-            for leg_at in _leg_distributions(n, nv):
-                legs_on = [0] * nv
-                for v in leg_at.values():
-                    legs_on[v] += 1
-                for degree in _degree_sequences(nv, 2 * ne, min_deg):
-                    val = [degree[v] + legs_on[v] for v in range(nv)]
-                    need = sum(
-                        2 if x == 0 else (1 if x < 3 else 0) for x in val
-                    )
-                    if need > budget:
-                        continue
-                    for loops, mult in _matrices(list(degree)):
-                        edges = _edges_of(loops, mult)
-                        if not _is_connected(nv, edges):
-                            continue
-                        for w in _weightings(val, budget):
-                            wg = build_graph(
-                                edges,
-                                legs=[(v, lab) for lab, v in sorted(leg_at.items())],
-                                weights=dict(enumerate(w)),
-                                isolated=range(nv),
-                            )
-                            key = canonical_form(wg, "labeled")
-                            if key not in found:
-                                found[key] = wg
-    return [found[k] for k in sorted(found)]
-
-
-def _weightings(valency, budget):
-    """Weight vectors summing to budget that make every vertex stable."""
-    n = len(valency)
-
-    def rec(v, left, acc):
-        if v == n:
-            if left == 0:
-                yield tuple(acc)
-            return
-        lo = 0
-        if valency[v] < 3:
-            lo = 1
-        if valency[v] < 1:
-            lo = 2
-        for w in range(lo, left + 1):
-            acc.append(w)
-            yield from rec(v + 1, left - w, acc)
-            acc.pop()
-        return
-
-    yield from rec(0, budget, [])
+    below = contraction_closure(enumerate_p_regular(3, g, legs=n))
+    return [from_canonical_form(k) for k in sorted(below)]
 
 
 def _marked_contraction_keys(g: Graph, leg_mode: str, three_ec_middles: bool):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, GraphError, WeightedGraph
+from .graphs import Graph, GraphError, WeightedGraph, build_graph
 
 
 def _as_weighted(obj) -> WeightedGraph:
@@ -169,12 +169,35 @@ def canonical_form(obj, leg_mode: str = "labeled", marked: Iterable[int] = ()) -
     return canonical_labeling(obj, leg_mode, marked)[0]
 
 
+def from_canonical_form(form: tuple) -> WeightedGraph:
+    """The graph a labeled canonical form encodes, in canonical order.
+
+    Vertices are 0..n-1 in canonical order, with weights from their colour;
+    edges are listed row by row (a vertex's loops, then its edges to later
+    vertices), and legs by label.  Equal forms give identical graphs.
+    """
+    colors, rows = form
+    edges = []
+    for i, row in enumerate(rows):
+        edges += [(i, i)] * row[0]
+        for j, m in enumerate(row[1:], i + 1):
+            edges += [(i, j)] * m
+    legs = sorted((label, i) for i, c in enumerate(colors) for label in c[3])
+    return build_graph(edges, legs=[(i, label) for label, i in legs],
+                       weights={i: c[0] for i, c in enumerate(colors)},
+                       isolated=range(len(rows)))
+
+
 def canonical_hash(obj, leg_mode: str = "labeled") -> str:
     """Short stable hex id of the canonical form (used for DOT node names)."""
+    return form_hash(canonical_form(obj, leg_mode))
+
+
+def form_hash(form: tuple) -> str:
+    """Short stable hex id of a canonical form."""
     import hashlib
 
-    enc = canonical_form(obj, leg_mode)
-    return hashlib.sha256(repr(enc).encode()).hexdigest()[:12]
+    return hashlib.sha256(repr(form).encode()).hexdigest()[:12]
 
 
 def _match_edges(ga: Graph, gb: Graph, alpha_v: dict[int, int]) -> dict[int, int]:

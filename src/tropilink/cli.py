@@ -4,7 +4,9 @@ Subcommands: link, verify, enumerate, movegraph, polygon, poset,
 check-codim1.  All output is deterministic for fixed inputs; graphs and
 certificates use the JSON schemas of graphs.py and certificates.py.
 Errors surface as a JSON object on stdout and a nonzero exit status: 2 for
-malformed input, 3 when a resource limit (the cycle-search budget) is hit.
+malformed input, 3 when a resource limit (the cycle-search budget) is hit,
+4 for an internal error (a failed consistency check or any other
+exception), whose traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 
 from . import atlas, moduli
 from .canonical import canonical_hash
@@ -56,6 +59,8 @@ def _cmd_link(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.p is not None and args.p < 3:
+        raise GraphError(f"--p must be >= 3, got {args.p}")
     try:
         with open(args.cert) as fh:
             cert = certificate_from_json_dict(json.load(fh))
@@ -212,6 +217,11 @@ def main(argv=None) -> int:
     except CycleSearchBudgetExceeded as exc:
         sys.stdout.write(dumps_canonical({"error": f"cycle search {exc}"}))
         return 3
+    except Exception as exc:
+        traceback.print_exc()
+        sys.stdout.write(dumps_canonical(
+            {"error": f"internal error: {type(exc).__name__}: {exc}"}))
+        return 4
 
 
 if __name__ == "__main__":

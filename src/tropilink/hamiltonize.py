@@ -16,19 +16,14 @@ from .connectivity import Cycle, edge_connectivity_capped, longest_cycle
 from .graphs import Graph, GraphError, InternalConsistencyError, contract
 
 
-def valency_reducing_extension(
-    gprime: Graph,
-    w: int,
-    left_required,
-    right_required,
-    mode: str = "plain",
-) -> tuple[Graph, int]:
-    """Split a (2p-2)-valent vertex into two p-valent ones joined by a new
-    edge, with the required half-edges landing on the prescribed sides.
+def vertex_splits(gprime: Graph, w: int, left_required, right_required):
+    """Every split of a (2p-2)-valent vertex into two p-valent ones joined
+    by a new edge, with the required half-edges on the prescribed sides.
 
-    Contracting the new edge restores gprime exactly.  Returns the new graph
-    and the key of the new edge.  In 3ec mode the half-edge distribution is
-    searched in canonical order until the result is 3-edge-connected.
+    Yields (graph, key of the new edge); w keeps the left side, the right
+    side goes to a new vertex, and contracting the new edge restores gprime
+    exactly.  The free half-edges join the left side in the order of
+    `combinations`.
     """
     halves = gprime.half_edges_at(w)
     val = len(halves)
@@ -59,9 +54,26 @@ def valency_reducing_extension(
         for h in halves:
             ep[h] = w if h in left else u2
         ep[ha], ep[hb] = w, u2
-        cand = Graph(list(gprime.vertices) + [u2], inv, ep, gprime.leg_labels)
+        yield Graph(list(gprime.vertices) + [u2], inv, ep, gprime.leg_labels), ha
+
+
+def valency_reducing_extension(
+    gprime: Graph,
+    w: int,
+    left_required,
+    right_required,
+    mode: str = "plain",
+) -> tuple[Graph, int]:
+    """Split a (2p-2)-valent vertex into two p-valent ones joined by a new
+    edge, with the required half-edges landing on the prescribed sides.
+
+    Contracting the new edge restores gprime exactly.  Returns the new graph
+    and the key of the new edge.  In 3ec mode the half-edge distribution is
+    searched in canonical order until the result is 3-edge-connected.
+    """
+    for cand, key in vertex_splits(gprime, w, left_required, right_required):
         if mode == "plain" or edge_connectivity_capped(cand) == 3:
-            return cand, min(ha, hb)
+            return cand, key
     raise InternalConsistencyError(
         "no half-edge distribution preserves 3-edge-connectivity"
     )

@@ -6,23 +6,28 @@ legs; its dimension is the edge count.  Covers are one-edge weighted
 contractions.  A locus restricts the strata: all of them, the pure ones
 (weight zero everywhere), those with 3-edge-connected underlying graph
 (the combinatorial stand-in for the Schottky image), or the downward
-closure of the p-regular pure classes.
+closure of the p-regular pure classes.  Strata and covers both come from
+one contraction closure (`atlas.contraction_closure`) of the 3-regular,
+or for `preg:P` the P-regular, classes.
 """
 
 from __future__ import annotations
 
-from .atlas import enumerate_stable
-from .canonical import canonical_form, canonical_hash
-from .connectivity import edge_connectivity_capped, is_p_regular
-from .graphs import GraphError, WeightedGraph, genus, weighted_contract
+from .atlas import contraction_closure, enumerate_p_regular
+from .canonical import form_hash, from_canonical_form
+from .connectivity import edge_connectivity_capped
+from .graphs import GraphError, WeightedGraph, genus
 
 
 class Stratum:
+    """A stratum by its labeled canonical key, with the graph rebuilt from
+    the key as representative."""
+
     __slots__ = ("wgraph", "key")
 
-    def __init__(self, wgraph: WeightedGraph):
-        self.wgraph = wgraph
-        self.key = canonical_form(wgraph, "labeled")
+    def __init__(self, key: tuple):
+        self.key = key
+        self.wgraph = from_canonical_form(key)
 
     @property
     def dimension(self) -> int:
@@ -121,42 +126,19 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     if kind in ("3ec", "preg") and n != 0:
         raise GraphError(f"locus {kind} is defined for n = 0 only")
 
-    everything = enumerate_stable(g, n)
     if kind == "preg":
-        # downward closure of the p-regular pure classes
-        maximal = [
-            wg for wg in everything
-            if wg.total_weight == 0 and is_p_regular(wg.graph, p)
-        ]
-        if not maximal:
-            raise GraphError(f"no {p}-regular pure classes at genus {g}")
-        keep: dict[tuple, WeightedGraph] = {}
-        frontier = list(maximal)
-        while frontier:
-            nxt = []
-            for wg in frontier:
-                key = canonical_form(wg, "labeled")
-                if key in keep:
-                    continue
-                keep[key] = wg
-                for e in wg.graph.edges:
-                    smaller, _ = weighted_contract(wg, {e})
-                    nxt.append(smaller)
-            frontier = nxt
-        chosen = [wg for wg in everything
-                  if canonical_form(wg, "labeled") in keep]
+        try:
+            tops = enumerate_p_regular(p, g)
+        except GraphError:
+            raise GraphError(f"no {p}-regular pure classes at genus {g}") from None
     else:
-        chosen = [wg for wg in everything if _in_locus(wg, kind)]
-
-    strata = [Stratum(wg) for wg in chosen]
+        tops = enumerate_p_regular(3, g, legs=n)
+    below = contraction_closure(tops)
+    strata = [s for s in map(Stratum, sorted(below))
+              if kind == "preg" or _in_locus(s.wgraph, kind)]
     index = {s.key: i for i, s in enumerate(strata)}
-    covers = set()
-    for i, s in enumerate(strata):
-        for e in s.wgraph.graph.edges:
-            smaller, _ = weighted_contract(s.wgraph, {e})
-            j = index.get(canonical_form(smaller, "labeled"))
-            if j is not None and j != i:
-                covers.add((i, j))
+    covers = {(i, index[t]) for i, s in enumerate(strata)
+              for t in below[s.key] if t in index}
     return StrataPoset(g, n, locus, strata, covers)
 
 
@@ -210,7 +192,7 @@ def poset_to_json_dict(poset: StrataPoset) -> dict:
             {
                 "index": i,
                 "dimension": s.dimension,
-                "id": canonical_hash(s.wgraph),
+                "id": form_hash(s.key),
                 "graph": to_json_dict(s.wgraph),
             }
             for i, s in enumerate(poset.strata)
@@ -223,7 +205,7 @@ def poset_to_dot(poset: StrataPoset) -> str:
     """DOT rendering ranked by dimension, nodes named by canonical hash."""
     lines = ["digraph strata {", "  rankdir=BT;"]
     by_dim: dict[int, list[int]] = {}
-    ids = [canonical_hash(s.wgraph) for s in poset.strata]
+    ids = [form_hash(s.key) for s in poset.strata]
     for i, s in enumerate(poset.strata):
         by_dim.setdefault(s.dimension, []).append(i)
         lines.append(f'  n{ids[i]} [label="dim {s.dimension}\\n{ids[i]}"];')

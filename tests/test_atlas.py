@@ -47,6 +47,11 @@ def test_frozen_class_counts():
     assert len(enumerate_p_regular(3, 2, legs=2)) == 10
 
 
+def test_cubic_genus_5_count():
+    # connected cubic multigraphs with loops, 8 vertices: OEIS A005967
+    assert len(enumerate_p_regular(3, 5)) == 71
+
+
 def test_remark_count_invariants():
     for p, b in [(3, 2), (3, 3), (3, 4), (4, 3)]:
         nv, ne = regular_counts(p, b)
@@ -61,6 +66,12 @@ def test_enumerate_infeasible_is_empty_with_diagnostic():
     with pytest.raises(GraphError) as err:
         regular_counts(5, 3)
     assert "not a positive multiple" in str(err.value)
+
+
+def test_negative_betti_number_has_no_classes():
+    # 2b-2+n = 1 passes the count formula, but no graph has b1 < 0
+    assert enumerate_p_regular(3, -1, legs=5) == []
+    assert enumerate_stable(-1, 5) == []
 
 
 def test_enumerate_stable_small():

@@ -8,7 +8,8 @@ import pytest
 from tropilink import cli, connectivity
 from tropilink.canonical import are_isomorphic
 from tropilink.certificates import certificate_to_json_dict
-from tropilink.graphs import (build_graph, dumps_canonical, from_json_dict, k4_graph,
+from tropilink.graphs import (InternalConsistencyError, build_graph,
+                              dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
                               to_json_dict)
 from tropilink.linkage import link
@@ -305,3 +306,27 @@ def test_cycle_search_budget_exits_3(tmp_path, monkeypatch, capsys):
                    str(tmp_path / "p10.json")])
     assert rc == 3
     assert "budget 10 exhausted" in json.loads(capsys.readouterr().out)["error"]
+
+
+@pytest.mark.parametrize("exc", [InternalConsistencyError("frame lost"),
+                                 KeyError(7)], ids=["internal", "other"])
+def test_internal_errors_exit_4(monkeypatch, capsys, exc):
+    def broken(*args, **kwargs):
+        raise exc
+    monkeypatch.setattr(cli.atlas, "enumerate_p_regular", broken)
+    rc = cli.main(["enumerate", "--p", "3", "--genus", "2"])
+    assert rc == 4
+    out, err = capsys.readouterr()
+    message = json.loads(out)["error"]
+    assert message.startswith("internal error: " + type(exc).__name__)
+    assert "Traceback" in err and type(exc).__name__ in err
+
+
+@pytest.mark.parametrize("p", ["2", "1", "0", "-1"])
+def test_verify_p_below_3_exits_2(tmp_path, capsys, p):
+    cert = link(theta_graph(), dumbbell_graph())
+    path = tmp_path / "cert.json"
+    path.write_text(dumps_canonical(certificate_to_json_dict(cert)))
+    assert cli.main(["verify", str(path), "--p", p]) == 2
+    assert "--p must be >= 3" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(["verify", str(path), "--p", "3"]) == 0

@@ -1,0 +1,84 @@
+"""The closure enumerators against the matrix-enumeration oracle.
+
+Class lists must agree key for key, in order; poset covers must equal the
+edge-by-edge recomputation; and a representative must not depend on how
+its class was labeled when it was found.
+"""
+
+import random
+from functools import lru_cache
+
+import pytest
+
+from tropilink.atlas import enumerate_p_regular, enumerate_stable
+from tropilink.canonical import canonical_form, from_canonical_form
+from tropilink.graphs import (Graph, WeightedGraph, dumps_canonical,
+                              to_json_dict)
+from tropilink.moduli import build_poset
+
+import enumeration_oracle as oracle
+
+
+def keys(graphs):
+    return [canonical_form(g, "labeled") for g in graphs]
+
+
+@lru_cache(maxsize=None)
+def oracle_stable(g, n):
+    return tuple(oracle.enumerate_stable(g, n))
+
+
+@pytest.mark.parametrize("p, b, filt, legs", [
+    (3, 2, "all", 0), (3, 3, "all", 0), (3, 4, "all", 0), (3, 4, "3ec", 0),
+    (4, 2, "all", 0), (4, 3, "all", 0), (4, 4, "all", 0), (4, 5, "all", 0),
+    (5, 4, "all", 0),
+    (3, 0, "all", 3), (3, 0, "all", 4),
+    (3, 1, "all", 1), (3, 1, "all", 2), (3, 2, "all", 1), (3, 2, "all", 2),
+    (3, 3, "all", 1), (4, 2, "all", 2), (4, 2, "all", 4), (4, 3, "all", 2),
+])
+def test_p_regular_classes_match_oracle(p, b, filt, legs):
+    got = enumerate_p_regular(p, b, filt, legs=legs)
+    want = oracle.enumerate_p_regular(p, b, filt, legs=legs)
+    assert want
+    assert keys(got) == keys(want)
+
+
+@pytest.mark.parametrize("g, n", [
+    (0, 3), (0, 4), (0, 5), (1, 1), (1, 2), (1, 3), (2, 0), (2, 1), (2, 2),
+    (3, 0), (3, 1),
+])
+def test_stable_strata_match_oracle(g, n):
+    assert keys(enumerate_stable(g, n)) == keys(oracle_stable(g, n))
+
+
+@pytest.mark.parametrize("g, n", [(3, 0), (2, 2), (3, 1)])
+def test_closure_covers_match_recomputation(g, n):
+    poset = build_poset(g, n)
+    want = oracle_stable(g, n)
+    assert [s.key for s in poset.strata] == keys(want)
+    assert poset.covers == oracle.one_edge_covers(want)
+
+
+def _shuffled(obj, rng):
+    """The same graph with its vertex and half-edge ids renamed at random."""
+    wg = obj if isinstance(obj, WeightedGraph) else WeightedGraph(obj)
+    g = wg.graph
+    vs = rng.sample(range(100, 200), len(g.vertices))
+    hs = rng.sample(range(1000, 2000), len(g.half_edges))
+    rv = dict(zip(g.vertices, vs))
+    rh = dict(zip(g.half_edges, hs))
+    out = Graph(vs, {rh[h]: rh[k] for h, k in g.involution.items()},
+                {rh[h]: rv[v] for h, v in g.endpoint.items()},
+                {rh[h]: lab for h, lab in g.leg_labels.items()})
+    return WeightedGraph(out, {rv[v]: w for v, w in wg.weight.items()})
+
+
+def test_representatives_do_not_depend_on_labeling():
+    rng = random.Random(6)
+    classes = (enumerate_p_regular(3, 4) + enumerate_p_regular(3, 2, legs=2)
+               + enumerate_stable(2, 1))
+    for rep in classes:
+        for _ in range(3):
+            again = from_canonical_form(canonical_form(_shuffled(rep, rng)))
+            assert dumps_canonical(to_json_dict(again)) == \
+                dumps_canonical(to_json_dict(rep))

@@ -7,6 +7,10 @@ recorded before the hamiltonian frame was merged into NormalizedForm, so a
 refactor of the descent or of hamiltonization that changes any chain,
 witness or recorded cycle fails here.  An intended byte change must update
 a digest and say so in CHANGES.md.
+
+The class representatives come from the matrix-enumeration oracle, whose
+labeled graphs are the inputs the digests were recorded on; the library's
+own enumerator emits canonically relabeled representatives instead.
 """
 
 import hashlib
@@ -14,13 +18,14 @@ import random
 
 import pytest
 
-from tropilink.atlas import enumerate_p_regular
 from tropilink.certificates import certificate_to_json_dict
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumps_canonical,
                               petersen_graph)
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
+
+from enumeration_oracle import enumerate_p_regular
 
 GOLDEN = {
     "pairs_3_3_plain": "cccb2a2ab6db365f51597e4f39e7ac3e80931ab6ab415dfc8e6673611ecb065e",

@@ -99,6 +99,18 @@ def test_schottky_codim1():
     assert check_schottky_codim1(3)
 
 
+def test_genus_5_strata_count():
+    # Maggiolo-Pagani, "Generating stable modular graphs", JSC 2011
+    po = build_poset(5, 0)
+    assert len(po.strata) == 4555
+    assert po.max_dimension == 12
+    assert po.dimension_profile()[12] == 71
+
+
+def test_schottky_codim1_genus_5():
+    assert check_schottky_codim1(5)
+
+
 def test_schottky_maximal_dimension():
     for g in (2, 3):
         po = build_poset(g, 0, "3ec")
