@@ -3,31 +3,30 @@
 The atlas generates every connected p-regular multigraph of a given genus,
 one representative per isomorphism class.  Two classes are adjacent in the
 move graph when some one-edge contraction of one matches a contraction of
-the other; linkage of arbitrary same-genus pairs amounts to this graph
-being connected, which is checked here by brute force.
+the other.  The classes are found as the strong-link closure of one seed
+graph, so on all classes the move graph is connected by construction: the
+evidence for linkage there is that the closure finds every class, which the
+tests check against an independent matrix enumeration.  Restricted to the
+3-edge-connected classes, connectivity is a real check of 3-linkage.
 """
 
-from tropilink import enumerate_p_regular
 from tropilink.atlas import is_connected_adjacency, move_graph
 from tropilink.canonical import canonical_hash
 
 
 def main():
     for p, b in [(3, 2), (3, 3), (3, 4), (4, 3)]:
-        classes = enumerate_p_regular(p, b)
-        adj = move_graph(classes)
+        classes, adj = move_graph(p, b)
         tag = "connected" if is_connected_adjacency(adj) else "DISCONNECTED"
         print(f"p={p}, b={b}: {len(classes)} classes, move graph {tag}")
-        three_ec = enumerate_p_regular(p, b, "3ec")
-        adj3 = move_graph(three_ec, three_ec_middles=True)
+        three_ec, adj3 = move_graph(p, b, "3ec")
         tag3 = "connected" if is_connected_adjacency(adj3) else "DISCONNECTED"
         print(f"          {len(three_ec)} 3-edge-connected classes, "
               f"restricted move graph {tag3}")
 
-    classes = enumerate_p_regular(3, 2)
+    classes, adj = move_graph(3, 2)
     print("\nDOT for the (3,2) move graph:")
     ids = [canonical_hash(g) for g in classes]
-    adj = move_graph(classes)
     print("graph moves {")
     for i, g in enumerate(classes):
         loops = sum(1 for e in g.edges if g.is_loop(e))

@@ -7,7 +7,7 @@ key once with a move function and records the key of each move's target.
   edge, then split the merged vertex again in every way.  The linkage
   theorem says the strong-link move graph on p-regular classes of fixed
   first Betti number is connected, so the closure of a single seed graph
-  reaches every class.
+  reaches every class.  The recorded targets are that move graph.
 - **Moduli strata.**  The move is a one-edge weighted contraction.  The
   tropical moduli space is pure-dimensional, so every stable graph is a
   weighted contraction of a trivalent weight-zero one, and the downward
@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from .canonical import canonical_form, from_canonical_form
 from .connectivity import edge_connectivity_capped
-from .graphs import (Graph, GraphError, WeightedGraph, build_graph, contract,
-                     weighted_contract)
+from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
+                     build_graph, contract, weighted_contract)
 from .hamiltonize import vertex_splits
 
 
@@ -65,7 +65,7 @@ def _closure(seeds, move) -> dict[tuple, set[tuple]]:
     targets: dict[tuple, set[tuple] | None] = {}
     todo = []
     for g in seeds:
-        key = canonical_form(g, "labeled")
+        key = canonical_form(g)
         if key not in targets:
             targets[key] = None
             todo.append((key, g))
@@ -73,7 +73,7 @@ def _closure(seeds, move) -> dict[tuple, set[tuple]]:
         key, g = todo.pop()
         out = set()
         for h in move(g):
-            hkey = canonical_form(h, "labeled")
+            hkey = canonical_form(h)
             out.add(hkey)
             if hkey not in targets:
                 targets[hkey] = None
@@ -109,6 +109,23 @@ def _contractions(wg: WeightedGraph):
         yield weighted_contract(wg, {e})[0]
 
 
+def _classes(p: int, b: int, filter: str,
+             legs: int) -> tuple[list[tuple], dict[tuple, set[tuple]]]:
+    """Sorted canonical keys of the p-regular classes that pass the filter,
+    and the keys of every class's strong-link targets."""
+    if filter not in ("all", "3ec"):
+        raise GraphError(f"unknown filter {filter!r}")
+    nv, _ = regular_counts(p, b, legs)
+    if b < 0:
+        return [], {}
+    targets = _closure([_seed(p, nv, legs)], _strong_links)
+    keys = sorted(targets)
+    if filter == "3ec":
+        keys = [k for k in keys
+                if edge_connectivity_capped(from_canonical_form(k).graph) == 3]
+    return keys, targets
+
+
 def enumerate_p_regular(p: int, b: int, filter: str = "all",
                         legs: int = 0) -> list[Graph]:
     """All connected p-regular multigraphs of first Betti number b, one per
@@ -116,16 +133,26 @@ def enumerate_p_regular(p: int, b: int, filter: str = "all",
 
     filter="3ec" keeps the 3-edge-connected classes only.
     """
-    if filter not in ("all", "3ec"):
-        raise GraphError(f"unknown filter {filter!r}")
-    nv, _ = regular_counts(p, b, legs)
-    if b < 0:
-        return []
-    keys = sorted(_closure([_seed(p, nv, legs)], _strong_links))
-    out = [from_canonical_form(k).graph for k in keys]
-    if filter == "3ec":
-        out = [g for g in out if edge_connectivity_capped(g) == 3]
-    return out
+    return [from_canonical_form(k).graph
+            for k in _classes(p, b, filter, legs)[0]]
+
+
+def move_graph(p: int, b: int, filter: str = "all",
+               legs: int = 0) -> tuple[list[Graph], dict[int, set[int]]]:
+    """The classes of `enumerate_p_regular` and their strong-link adjacency
+    by index (self-links ignored).
+
+    Two classes are adjacent iff a non-loop contraction of one matches one
+    of the other, contracted-vertex images included.  With filter="3ec" the
+    graph is restricted to the 3-edge-connected classes; a contraction of a
+    3-edge-connected graph is 3-edge-connected, so every link between them
+    passes through a 3-edge-connected middle.
+    """
+    keys, targets = _classes(p, b, filter, legs)
+    index = {k: i for i, k in enumerate(keys)}
+    adj = {i: {index[t] for t in targets[k] if t in index and t != k}
+           for i, k in enumerate(keys)}
+    return [from_canonical_form(k).graph for k in keys], adj
 
 
 def contraction_closure(graphs) -> dict[tuple, set[tuple]]:
@@ -145,49 +172,14 @@ def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
     return [from_canonical_form(k) for k in sorted(below)]
 
 
-def _marked_contraction_keys(g: Graph, leg_mode: str, three_ec_middles: bool):
-    """Canonical forms of all one-non-loop-edge contractions, with the
-    contraction vertex marked."""
-    keys = set()
-    for e in g.edges:
-        if g.is_loop(e):
-            continue
-        mid, cm = contract(g, {e})
-        if three_ec_middles and edge_connectivity_capped(mid) != 3:
-            continue
-        keys.add(canonical_form(mid, leg_mode, marked={cm.image_vertex(e)}))
-    return keys
-
-
-def move_graph(classes: list[Graph], leg_mode: str = "labeled",
-               three_ec_middles: bool = False) -> dict[int, set[int]]:
-    """Strong-link adjacency over isomorphism classes (self-links ignored).
-
-    Two classes are adjacent iff some non-loop contraction of one matches a
-    contraction of the other, including the contracted-vertex image.  With
-    three_ec_middles=True only 3-edge-connected middles count.
-    """
-    marks = [
-        _marked_contraction_keys(g, leg_mode, three_ec_middles) for g in classes
-    ]
-    adj: dict[int, set[int]] = {i: set() for i in range(len(classes))}
-    for i in range(len(classes)):
-        for j in range(i + 1, len(classes)):
-            if marks[i] & marks[j]:
-                adj[i].add(j)
-                adj[j].add(i)
-    return adj
+def components(vertices, pairs) -> list[list[int]]:
+    """Connected components of the graph on `vertices` with an edge for
+    each pair, each sorted, ordered by their least vertex."""
+    comps: dict[int, list[int]] = {}
+    for v, root in _component_roots(vertices, pairs).items():
+        comps.setdefault(root, []).append(v)
+    return list(comps.values())
 
 
 def is_connected_adjacency(adj: dict[int, set[int]]) -> bool:
-    if not adj:
-        return True
-    seen = set()
-    stack = [next(iter(adj))]
-    while stack:
-        v = stack.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        stack.extend(adj[v] - seen)
-    return len(seen) == len(adj)
+    return len(components(adj, ((i, j) for i in adj for j in adj[i]))) <= 1

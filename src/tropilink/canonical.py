@@ -6,11 +6,8 @@ is refined by neighbour-class multiplicity profiles, and remaining ties are
 broken by branching over the first smallest non-singleton cell.  The
 canonical encoding is the minimum over all leaves of the search tree, so two
 graphs have equal encodings iff they are isomorphic (respecting weights,
-marks, and legs per the chosen mode).  Sizes here are small enough that the
-exact search is cheap.
-
-Leg modes: "labeled" forces the witness to preserve leg labels, "unlabeled"
-allows any leg bijection compatible with the endpoints.
+marks, and leg labels).  Sizes here are small enough that the exact search
+is cheap.
 """
 
 from __future__ import annotations
@@ -29,9 +26,7 @@ def _as_weighted(obj) -> WeightedGraph:
 
 
 class _Canonizer:
-    def __init__(self, wg: WeightedGraph, leg_mode: str, marked: frozenset[int]):
-        if leg_mode not in ("labeled", "unlabeled"):
-            raise GraphError(f"unknown leg mode {leg_mode!r}")
+    def __init__(self, wg: WeightedGraph, marked: frozenset[int]):
         g = wg.graph
         self.g = g
         self.n = len(g.vertices)
@@ -52,17 +47,12 @@ class _Canonizer:
             for v in g.vertices
         }
 
-        def legdata(v):
-            if leg_mode == "labeled":
-                return tuple(sorted(g.leg_labels[h] for h in g.legs_at(v)))
-            return len(g.legs_at(v))
-
         self.color = {
             self.index[v]: (
                 wg.weight[v],
                 g.valency(v),
                 loops[v],
-                legdata(v),
+                tuple(sorted(g.leg_labels[h] for h in g.legs_at(v))),
                 v in marked,
             )
             for v in g.vertices
@@ -146,27 +136,26 @@ class _Canonizer:
 
 
 def canonical_labeling(
-    obj, leg_mode: str = "labeled", marked: Iterable[int] = ()
+    obj, *, marked: Iterable[int] = ()
 ) -> tuple[tuple, tuple[int, ...]]:
     """Canonical encoding plus the vertex order realizing it.
 
-    Equal encodings <=> isomorphic (weights and marks respected; leg labels
-    respected iff leg_mode == "labeled").
+    Equal encodings <=> isomorphic (weights, marks and leg labels respected).
     """
     wg = _as_weighted(obj)
     marked = frozenset(marked)
     cache = wg.graph._canon_cache
-    key = (leg_mode, marked, tuple(sorted(wg.weight.items())))
+    key = (marked, tuple(sorted(wg.weight.items())))
     hit = cache.get(key)
     if hit is None:
-        enc, order = _Canonizer(wg, leg_mode, marked).run()
+        enc, order = _Canonizer(wg, marked).run()
         hit = (enc, tuple(order))
         cache[key] = hit
     return hit
 
 
-def canonical_form(obj, leg_mode: str = "labeled", marked: Iterable[int] = ()) -> tuple:
-    return canonical_labeling(obj, leg_mode, marked)[0]
+def canonical_form(obj, *, marked: Iterable[int] = ()) -> tuple:
+    return canonical_labeling(obj, marked=marked)[0]
 
 
 def from_canonical_form(form: tuple) -> WeightedGraph:
@@ -188,9 +177,9 @@ def from_canonical_form(form: tuple) -> WeightedGraph:
                        isolated=range(len(rows)))
 
 
-def canonical_hash(obj, leg_mode: str = "labeled") -> str:
+def canonical_hash(obj) -> str:
     """Short stable hex id of the canonical form (used for DOT node names)."""
-    return form_hash(canonical_form(obj, leg_mode))
+    return form_hash(canonical_form(obj))
 
 
 def form_hash(form: tuple) -> str:
@@ -223,49 +212,31 @@ def _match_edges(ga: Graph, gb: Graph, alpha_v: dict[int, int]) -> dict[int, int
     return alpha_e
 
 
-def _match_legs(ga: Graph, gb: Graph, alpha_v: dict[int, int], leg_mode: str) -> dict[int, int]:
+def _match_legs(ga: Graph, gb: Graph, alpha_v: dict[int, int]) -> dict[int, int]:
+    """Leg bijection pairing equal labels, given a vertex bijection."""
     alpha_l = {}
-    if leg_mode == "labeled":
-        by_label = {gb.leg_labels[h]: h for h in gb.legs}
-        for h in ga.legs:
-            h2 = by_label.get(ga.leg_labels[h])
-            if h2 is None or gb.endpoint[h2] != alpha_v[ga.endpoint[h]]:
-                raise GraphError("vertex map does not respect leg labels")
-            alpha_l[h] = h2
-    else:
-        at_b: dict[int, list[int]] = {}
-        for h in gb.legs:
-            at_b.setdefault(gb.endpoint[h], []).append(h)
-        for hs in at_b.values():
-            hs.sort()
-        used: dict[int, int] = {}
-        for h in sorted(ga.legs):
-            v = alpha_v[ga.endpoint[h]]
-            i = used.get(v, 0)
-            try:
-                alpha_l[h] = at_b[v][i]
-            except (KeyError, IndexError):
-                raise GraphError("vertex map does not induce a leg bijection")
-            used[v] = i + 1
+    by_label = {gb.leg_labels[h]: h for h in gb.legs}
+    for h in ga.legs:
+        h2 = by_label.get(ga.leg_labels[h])
+        if h2 is None or gb.endpoint[h2] != alpha_v[ga.endpoint[h]]:
+            raise GraphError("vertex map does not respect leg labels")
+        alpha_l[h] = h2
     return alpha_l
 
 
-def isomorphism_witness(a, b, leg_mode: str = "labeled"):
+def isomorphism_witness(a, b):
     """A triple (alpha_V, alpha_E, alpha_L) taking a to b, or None."""
     wa, wb = _as_weighted(a), _as_weighted(b)
-    enc_a, order_a = canonical_labeling(wa, leg_mode)
-    enc_b, order_b = canonical_labeling(wb, leg_mode)
+    enc_a, order_a = canonical_labeling(wa)
+    enc_b, order_b = canonical_labeling(wb)
     if enc_a != enc_b:
         return None
     alpha_v = dict(zip(order_a, order_b))
     alpha_e = _match_edges(wa.graph, wb.graph, alpha_v)
-    alpha_l = _match_legs(wa.graph, wb.graph, alpha_v, leg_mode)
+    alpha_l = _match_legs(wa.graph, wb.graph, alpha_v)
     return alpha_v, alpha_e, alpha_l
 
 
-def are_isomorphic(a, b, leg_mode: str = "labeled", witness: bool = False):
-    """Isomorphism test; with witness=True also returns the witness triple."""
-    w = isomorphism_witness(a, b, leg_mode)
-    if witness:
-        return (w is not None), w
-    return w is not None
+def are_isomorphic(a, b) -> bool:
+    """Isomorphism test respecting weights and leg labels."""
+    return isomorphism_witness(a, b) is not None

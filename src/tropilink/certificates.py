@@ -64,7 +64,7 @@ class StrongLinkFailure:
 
 
 def strong_link_check(left: Graph, left_edge: int, right: Graph,
-                      right_edge: int, leg_mode: str = "labeled"):
+                      right_edge: int):
     """Check a strong link and produce a witnessed step, or a failure."""
     for g, e, side in ((left, left_edge, "left"), (right, right_edge, "right")):
         if e not in g.edges:
@@ -77,10 +77,10 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
     ml = cm_l.image_vertex(left_edge)
     mr = cm_r.image_vertex(right_edge)
 
-    enc_l, order_l = canonical_labeling(mid_l, leg_mode, marked={ml})
-    enc_r, order_r = canonical_labeling(mid_r, leg_mode, marked={mr})
+    enc_l, order_l = canonical_labeling(mid_l, marked={ml})
+    enc_r, order_r = canonical_labeling(mid_r, marked={mr})
     if enc_l != enc_r:
-        if are_isomorphic(mid_l, mid_r, leg_mode):
+        if are_isomorphic(mid_l, mid_r):
             return StrongLinkFailure(
                 "no_marked_witness",
                 "contractions isomorphic but never matching the contracted vertices",
@@ -89,34 +89,33 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
 
     alpha_v = dict(zip(order_r, order_l))
     alpha_e = _match_edges(mid_r, mid_l, alpha_v)
-    alpha_l = _match_legs(mid_r, mid_l, alpha_v, leg_mode)
+    alpha_l = _match_legs(mid_r, mid_l, alpha_v)
     return StrongLinkStep(left, left_edge, right, right_edge,
                           (alpha_v, alpha_e, alpha_l))
 
 
 class LinkageCertificate:
-    """Chain of p-regular graphs with a strong-link step between neighbours."""
+    """Chain of p-regular graphs with a strong-link step between neighbours.
 
-    __slots__ = ("graphs", "steps", "mode", "p", "leg_mode")
+    Legs are labeled: every witness preserves leg labels."""
 
-    def __init__(self, graphs, steps, mode: str, p: int, leg_mode: str = "labeled"):
+    __slots__ = ("graphs", "steps", "mode", "p")
+
+    def __init__(self, graphs, steps, mode: str, p: int):
         if mode not in ("plain", "3ec"):
             raise GraphError(f"unknown certificate mode {mode!r}")
-        if leg_mode not in ("labeled", "unlabeled"):
-            raise GraphError(f"unknown leg mode {leg_mode!r}")
         if len(steps) != max(len(graphs) - 1, 0):
             raise GraphError("a chain of n graphs needs n-1 steps")
         self.graphs = list(graphs)
         self.steps = list(steps)
         self.mode = mode
         self.p = p
-        self.leg_mode = leg_mode
 
     def reversed(self) -> "LinkageCertificate":
         return LinkageCertificate(
             list(reversed(self.graphs)),
             [s.reversed() for s in reversed(self.steps)],
-            self.mode, self.p, self.leg_mode,
+            self.mode, self.p,
         )
 
     def __repr__(self):
@@ -155,7 +154,7 @@ class VerificationReport:
 
 
 def _check_witness(problems, idx, left, left_edge, right, right_edge,
-                   witness, leg_mode):
+                   witness):
     mid_l, cm_l = contract(left, {left_edge})
     mid_r, cm_r = contract(right, {right_edge})
     alpha_v, alpha_e, alpha_l = witness
@@ -189,8 +188,7 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
             problems.append((idx, "witness_leg_endpoints",
                              f"leg {h} maps to a leg at the wrong vertex"))
             return
-        if leg_mode == "labeled" and \
-                mid_l.leg_labels[alpha_l[h]] != mid_r.leg_labels[h]:
+        if mid_l.leg_labels[alpha_l[h]] != mid_r.leg_labels[h]:
             problems.append((idx, "witness_leg_labels",
                              f"leg {h} maps to a differently labeled leg"))
             return
@@ -242,8 +240,8 @@ def _check_cert_cycles(problems, idx, graph, edge, cycles):
 
 
 def verify_certificate(cert: LinkageCertificate, p: int | None = None,
-                       mode: str | None = None, endpoints=None,
-                       leg_mode: str | None = None) -> VerificationReport:
+                       mode: str | None = None,
+                       endpoints=None) -> VerificationReport:
     """Re-derive every contraction and recheck every witness in cert.
 
     When endpoints=(a, b) is given, also checks that the chain starts and
@@ -251,7 +249,6 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
     """
     p = cert.p if p is None else p
     mode = cert.mode if mode is None else mode
-    leg_mode = cert.leg_mode if leg_mode is None else leg_mode
     problems: list[tuple[int | None, str, str]] = []
 
     if not cert.graphs:
@@ -292,7 +289,7 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
         if not ok:
             continue
         _check_witness(problems, i, left, step.left_edge, right,
-                       step.right_edge, step.witness, leg_mode)
+                       step.right_edge, step.witness)
         if mode == "3ec":
             mid, _ = contract(left, {step.left_edge})
             if edge_connectivity_capped(mid) != 3:
@@ -304,9 +301,9 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
 
     if endpoints is not None:
         a, b = endpoints
-        if not are_isomorphic(cert.graphs[0], a, leg_mode):
+        if not are_isomorphic(cert.graphs[0], a):
             problems.append((None, "endpoint", "chain does not start at the first endpoint"))
-        if not are_isomorphic(cert.graphs[-1], b, leg_mode):
+        if not are_isomorphic(cert.graphs[-1], b):
             problems.append((None, "endpoint", "chain does not end at the second endpoint"))
 
     return VerificationReport(problems, len(cert.steps))
@@ -335,7 +332,7 @@ def certificate_to_json_dict(cert: LinkageCertificate) -> dict:
     return {
         "mode": cert.mode,
         "p": cert.p,
-        "leg_mode": cert.leg_mode,
+        "leg_mode": "labeled",
         "graphs": [to_json_dict(g) for g in cert.graphs],
         "steps": steps,
     }
@@ -384,7 +381,9 @@ def certificate_from_json_dict(d: dict) -> LinkageCertificate:
                                         graphs[i + 1],
                                         _int(s["right_edge"], "right_edge"),
                                         witness, cycles))
-        return LinkageCertificate(graphs, steps, d["mode"], d["p"],
-                                  d.get("leg_mode", "labeled"))
+        leg_mode = d.get("leg_mode", "labeled")
+        if leg_mode != "labeled":
+            raise GraphError(f"unknown leg mode {leg_mode!r}")
+        return LinkageCertificate(graphs, steps, d["mode"], d["p"])
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc

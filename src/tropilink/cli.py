@@ -81,10 +81,9 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_movegraph(args) -> int:
-    classes = atlas.enumerate_p_regular(
+    classes, adj = atlas.move_graph(
         args.p, args.genus, "3ec" if args.three_ec else "all", legs=args.legs
     )
-    adj = atlas.move_graph(classes, three_ec_middles=args.three_ec)
     ids = [canonical_hash(g) for g in classes]
     if args.format == "json":
         payload = {

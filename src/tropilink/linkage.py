@@ -419,7 +419,7 @@ def _descend(g: Graph, delta: Cycle | None, mode: str,
         if epsilon_trace is not None:
             epsilon_trace.append(eps)
 
-    if not are_isomorphic(nf.base, build_polygon(p, nf.gamma), leg_mode="unlabeled"):
+    if not are_isomorphic(nf.base, build_polygon(p, nf.gamma)):
         raise InternalConsistencyError("descent ended away from the p-polygon")
     return LinkageCertificate(graphs, steps, mode, p)
 
@@ -427,31 +427,30 @@ def _descend(g: Graph, delta: Cycle | None, mode: str,
 # -- full linkage --------------------------------------------------------------
 
 
-def _bridge_step(a: Graph, b: Graph, leg_mode: str = "labeled"):
+def _bridge_step(a: Graph, b: Graph):
     """Strong link between isomorphic graphs (None when a is b already)."""
     if a == b:
         return None
-    w = isomorphism_witness(a, b, leg_mode)
+    w = isomorphism_witness(a, b)
     if w is None:
         raise GraphError("graphs are not isomorphic")
     nonloop = [e for e in a.edges if not a.is_loop(e)]
     if not nonloop:
         return None  # single-vertex all-loop graphs: nothing to contract
     e = min(nonloop)
-    step = strong_link_check(a, e, b, w[1][e], leg_mode)
+    step = strong_link_check(a, e, b, w[1][e])
     if not isinstance(step, StrongLinkStep):
         raise InternalConsistencyError(f"isomorphic graphs fail to link: {step}")
     return step
 
 
-def _assemble(first: Graph, steps, mode: str, p: int,
-              leg_mode: str = "labeled") -> LinkageCertificate:
+def _assemble(first: Graph, steps, mode: str, p: int) -> LinkageCertificate:
     graphs = [first]
     for s in steps:
         if s.left != graphs[-1]:
             raise InternalConsistencyError("certificate chain is not contiguous")
         graphs.append(s.right)
-    return LinkageCertificate(graphs, steps, mode, p, leg_mode)
+    return LinkageCertificate(graphs, steps, mode, p)
 
 
 def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
@@ -674,17 +673,15 @@ def link_with_legs(g1: Graph, g2: Graph) -> LinkageCertificate:
     if labels1 != sorted(g2.leg_labels.values()):
         raise GraphError("graphs must carry the same leg labels")
 
-    if are_isomorphic(g1, g2, "labeled"):
-        step = _bridge_step(g1, g2, "labeled")
+    if are_isomorphic(g1, g2):
+        step = _bridge_step(g1, g2)
         if step is None and g1 != g2:
-            return LinkageCertificate([g1], [], "plain", 3, "labeled")
+            return LinkageCertificate([g1], [], "plain", 3)
         steps = [] if step is None else [step]
-        return _assemble(g1, steps, "plain", 3, "labeled")
+        return _assemble(g1, steps, "plain", 3)
 
     if not labels1:
-        cert = link(g1, g2, "plain")
-        cert.leg_mode = "labeled"
-        return cert
+        return link(g1, g2, "plain")
 
     label = max(labels1)
     base1, q1 = _remove_leg(g1, label)
@@ -698,7 +695,7 @@ def link_with_legs(g1: Graph, g2: Graph) -> LinkageCertificate:
     def push(new_steps):
         nonlocal cur_graph
         for s in new_steps:
-            bridge = _bridge_step(cur_graph, s.left, "labeled")
+            bridge = _bridge_step(cur_graph, s.left)
             if bridge is not None:
                 steps.append(bridge)
             steps.append(s)
@@ -713,8 +710,7 @@ def link_with_legs(g1: Graph, g2: Graph) -> LinkageCertificate:
         A, _ = _add_leg(D, cur_pos, label)
         q_next = _transport_position(sub_step, cur_pos)
         B, _ = _add_leg(sub.graphs[i + 1], q_next, label)
-        lifted = strong_link_check(A, sub_step.left_edge, B,
-                                   sub_step.right_edge, "labeled")
+        lifted = strong_link_check(A, sub_step.left_edge, B, sub_step.right_edge)
         if not isinstance(lifted, StrongLinkStep):
             raise InternalConsistencyError(f"lift of a base link fails: {lifted}")
         push([lifted])
@@ -722,14 +718,14 @@ def link_with_legs(g1: Graph, g2: Graph) -> LinkageCertificate:
 
     D_last = sub.graphs[-1]
     if D_last != base2:
-        w = isomorphism_witness(base2, D_last, "labeled")
+        w = isomorphism_witness(base2, D_last)
         if w is None:
             raise InternalConsistencyError("base chain misses its endpoint")
         kind, key = q2
         q2 = ("edge", w[1][key]) if kind == "edge" else ("leg", w[2][key])
     push(_claim_move(D_last, cur_pos, q2, label))
 
-    bridge = _bridge_step(cur_graph, g2, "labeled")
+    bridge = _bridge_step(cur_graph, g2)
     if bridge is not None:
         steps.append(bridge)
-    return _assemble(g1, steps, "plain", 3, "labeled")
+    return _assemble(g1, steps, "plain", 3)

@@ -13,7 +13,7 @@ or for `preg:P` the P-regular, classes.
 
 from __future__ import annotations
 
-from .atlas import contraction_closure, enumerate_p_regular
+from .atlas import components, contraction_closure, enumerate_p_regular
 from .canonical import form_hash, from_canonical_form
 from .connectivity import edge_connectivity_capped
 from .graphs import GraphError, WeightedGraph, genus
@@ -67,25 +67,17 @@ class StrataPoset:
     def pure_dimension_violations(self) -> list[int]:
         """Strata not below any maximal stratum (empty on a pure-dimensional
         locus; reported, never assumed)."""
-        up: dict[int, set[int]] = {i: set() for i in range(len(self.strata))}
+        down: dict[int, list[int]] = {}
         for a, b in self.covers:
-            up[b].add(a)
-        tops = set(self.maximal_strata())
-        bad = []
-        for i in range(len(self.strata)):
-            frontier = {i}
-            seen: set[int] = set()
-            reached = False
-            while frontier:
-                x = frontier.pop()
-                if x in tops:
-                    reached = True
-                    break
-                seen.add(x)
-                frontier |= up[x] - seen
-            if not reached:
-                bad.append(i)
-        return bad
+            down.setdefault(a, []).append(b)
+        todo = self.maximal_strata()
+        seen = set(todo)
+        while todo:
+            for b in down.get(todo.pop(), ()):
+                if b not in seen:
+                    seen.add(b)
+                    todo.append(b)
+        return [i for i in range(len(self.strata)) if i not in seen]
 
     def __repr__(self):
         return (f"StrataPoset(g={self.g}, n={self.n}, locus={self.locus}, "
@@ -150,27 +142,9 @@ def connected_through_codim_one(poset: StrataPoset):
     d = poset.max_dimension
     keep = [i for i, s in enumerate(poset.strata) if s.dimension >= d - 1]
     keepset = set(keep)
-    adj: dict[int, set[int]] = {i: set() for i in keep}
-    for a, b in poset.covers:
-        if a in keepset and b in keepset:
-            adj[a].add(b)
-            adj[b].add(a)
-    components = []
-    seen: set[int] = set()
-    for start in keep:
-        if start in seen:
-            continue
-        comp = set()
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            if v in comp:
-                continue
-            comp.add(v)
-            stack.extend(adj[v] - comp)
-        seen |= comp
-        components.append(sorted(comp))
-    return len(components) == 1, components
+    comps = components(keep, ((a, b) for a, b in poset.covers
+                              if a in keepset and b in keepset))
+    return len(comps) == 1, comps
 
 
 def check_schottky_codim1(g: int) -> bool:

@@ -9,9 +9,13 @@ encoding; each class is represented by the first labeled graph found, in
 matrix order, so the representatives are the ones the library emitted
 before it enumerated by closure (tests/test_golden.py links them).
 
+The move graph is recomputed pairwise: every marked one-edge contraction
+of every class, intersected over all pairs of classes.  The library reads
+it off the records of its enumeration closure instead.
+
 It shares no generation code with `tropilink.atlas`: it takes the vertex
 count from `regular_counts` and compares through the library's canonical
-form, edge connectivity and weighted contraction.
+form, edge connectivity and (weighted) contraction.
 """
 
 from functools import lru_cache
@@ -19,7 +23,7 @@ from functools import lru_cache
 from tropilink.canonical import canonical_form
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, _component_roots, build_graph,
-                              weighted_contract)
+                              contract, weighted_contract)
 from tropilink.atlas import regular_counts
 
 
@@ -160,7 +164,7 @@ def _p_regular_classes(p, b, legs):
             if not _is_connected(nv, edges):
                 continue
             g = build_graph(edges, legs=[(v, lab) for lab, v in sorted(leg_at.items())])
-            key = canonical_form(g, "labeled")
+            key = canonical_form(g)
             if key not in found:
                 found[key] = g
     return tuple(found[k] for k in sorted(found))
@@ -203,7 +207,7 @@ def enumerate_stable(g, n):
                                 weights=dict(enumerate(w)),
                                 isolated=range(nv),
                             )
-                            key = canonical_form(wg, "labeled")
+                            key = canonical_form(wg)
                             if key not in found:
                                 found[key] = wg
     return [found[k] for k in sorted(found)]
@@ -212,12 +216,41 @@ def enumerate_stable(g, n):
 def one_edge_covers(strata):
     """Covers of a stratum list, recomputed edge by edge: (i, j) whenever
     contracting one edge of stratum i gives stratum j."""
-    index = {canonical_form(wg, "labeled"): i for i, wg in enumerate(strata)}
+    index = {canonical_form(wg): i for i, wg in enumerate(strata)}
     covers = set()
     for i, wg in enumerate(strata):
         for e in wg.graph.edges:
             smaller, _ = weighted_contract(wg, {e})
-            j = index.get(canonical_form(smaller, "labeled"))
+            j = index.get(canonical_form(smaller))
             if j is not None and j != i:
                 covers.add((i, j))
     return sorted(covers)
+
+
+def _marked_contraction_keys(g, three_ec_middles):
+    """Canonical forms of all one-non-loop-edge contractions, with the
+    contraction vertex marked."""
+    keys = set()
+    for e in g.edges:
+        if g.is_loop(e):
+            continue
+        mid, cm = contract(g, {e})
+        if three_ec_middles and edge_connectivity_capped(mid) != 3:
+            continue
+        keys.add(canonical_form(mid, marked={cm.image_vertex(e)}))
+    return keys
+
+
+def move_graph(classes, three_ec_middles=False):
+    """Strong-link adjacency over the given classes (self-links ignored):
+    two classes are adjacent iff some non-loop contraction of one matches a
+    contraction of the other, contracted-vertex image included.  With
+    three_ec_middles=True only 3-edge-connected middles count."""
+    marks = [_marked_contraction_keys(g, three_ec_middles) for g in classes]
+    adj = {i: set() for i in range(len(classes))}
+    for i in range(len(classes)):
+        for j in range(i + 1, len(classes)):
+            if marks[i] & marks[j]:
+                adj[i].add(j)
+                adj[j].add(i)
+    return adj

@@ -126,21 +126,20 @@ def test_one_edge_contractions_of_stable_2_0_stay_stable():
 
 
 def test_move_graph_3_2():
-    cl = enumerate_p_regular(3, 2)
-    adj = move_graph(cl)
+    cl, adj = move_graph(3, 2)
+    assert len(cl) == 2
     assert adj == {0: {1}, 1: {0}}
 
 
 def test_move_graphs_connected():
     for p, b in [(3, 2), (3, 3), (3, 4), (4, 3)]:
-        adj = move_graph(enumerate_p_regular(p, b))
+        _, adj = move_graph(p, b)
         assert is_connected_adjacency(adj)
-        adj3 = move_graph(enumerate_p_regular(p, b, "3ec"),
-                          three_ec_middles=True)
+        _, adj3 = move_graph(p, b, "3ec")
         assert is_connected_adjacency(adj3)
 
 
 def test_legged_move_graphs_connected():
     for g, n in [(1, 1), (1, 2), (2, 1), (2, 2)]:
-        adj = move_graph(enumerate_p_regular(3, g, legs=n))
+        _, adj = move_graph(3, g, legs=n)
         assert is_connected_adjacency(adj)

@@ -1,9 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from tropilink.canonical import (are_isomorphic, canonical_form,
-                                 canonical_hash)
+                                 canonical_hash, isomorphism_witness)
 from tropilink.graphs import (Graph, WeightedGraph, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
 from tropilink.normal_form import build_polygon
@@ -55,21 +56,26 @@ def test_weights_distinguish():
     assert canonical_form(a) != canonical_form(c)
 
 
-def test_leg_modes():
+def test_leg_labels_respected():
     a = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     b = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 2), (1, 1)])
     both = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 1), (0, 2)])
     # swapping which vertex carries which label is a symmetry of theta
-    assert are_isomorphic(a, b, "labeled")
-    assert not are_isomorphic(a, both, "labeled")
-    assert not are_isomorphic(a, both, "unlabeled")
+    assert are_isomorphic(a, b)
+    assert not are_isomorphic(a, both)
     c = build_graph([(0, 1), (0, 1), (0, 0), (1, 1)], legs=[(0, 1), (1, 2)])
     d = build_graph([(0, 1), (0, 1), (0, 0), (1, 1)], legs=[(0, 2), (1, 1)])
-    assert are_isomorphic(c, d, "labeled")  # again symmetric
+    assert are_isomorphic(c, d)  # again symmetric
     e = build_graph([(0, 1), (0, 1), (0, 0), (1, 1)], legs=[(0, 1), (0, 2)])
     f = build_graph([(0, 1), (0, 1), (0, 0), (1, 1)], legs=[(1, 1), (1, 2)])
-    assert are_isomorphic(e, f, "unlabeled")
-    assert are_isomorphic(e, f, "labeled")
+    assert are_isomorphic(e, f)
+    relabeled = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 1), (1, 3)])
+    assert not are_isomorphic(a, relabeled)
+
+
+def test_marked_is_keyword_only():
+    with pytest.raises(TypeError):
+        canonical_form(theta_graph(), "labeled")
 
 
 def test_marked_vertices_break_symmetry():
@@ -82,7 +88,7 @@ def test_marked_vertices_break_symmetry():
     assert canonical_form(path, marked={0}) != canonical_form(path, marked={1})
 
 
-def _check_witness(a, b, w, leg_mode="labeled"):
+def _check_witness(a, b, w):
     av, ae, al = w
     ga = a.graph if isinstance(a, WeightedGraph) else a
     gb = b.graph if isinstance(b, WeightedGraph) else b
@@ -94,8 +100,7 @@ def _check_witness(a, b, w, leg_mode="labeled"):
         assert gb.edge_ends(ae[e]) == ((tx, ty) if tx <= ty else (ty, tx))
     for h in ga.legs:
         assert gb.endpoint[al[h]] == av[ga.endpoint[h]]
-        if leg_mode == "labeled":
-            assert gb.leg_labels[al[h]] == ga.leg_labels[h]
+        assert gb.leg_labels[al[h]] == ga.leg_labels[h]
     if isinstance(a, WeightedGraph):
         for v in ga.vertices:
             assert a.weight[v] == b.weight[av[v]]
@@ -117,20 +122,19 @@ def test_witness_is_valid_isomorphism(rng):
         g = random_connected_multigraph(rng, max_vertices=7, max_extra=5,
                                         legs=rng.randint(0, 2), max_weight=1)
         h = shuffled_weighted_copy(g, rng)
-        ok, w = are_isomorphic(g, h, witness=True)
-        assert ok
+        w = isomorphism_witness(g, h)
+        assert w is not None
         _check_witness(g, h, w)
-        ok2, w2 = are_isomorphic(g.graph, h.graph, witness=True,
-                                 leg_mode="unlabeled")
-        assert ok2
-        _check_witness(g.graph, h.graph, w2, "unlabeled")
+        w2 = isomorphism_witness(g.graph, h.graph)
+        assert w2 is not None
+        _check_witness(g.graph, h.graph, w2)
 
 
 def test_petersen_selfisomorphic_nontrivially(rng):
     p = petersen_graph()
     q = shuffled_copy(p, rng)
-    ok, w = are_isomorphic(p, q, witness=True)
-    assert ok
+    w = isomorphism_witness(p, q)
+    assert w is not None
     _check_witness(p, q, w)
 
 

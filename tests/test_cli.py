@@ -250,6 +250,23 @@ def test_verify_unknown_leg_mode_is_malformed(tmp_path, petersen_3ec_cert):
     assert "leg mode" in json.loads(r.stdout)["error"]
 
 
+def test_verify_unlabeled_leg_mode_is_malformed(tmp_path, petersen_3ec_cert):
+    """Legs are labeled in every certificate; "unlabeled" is not a mode."""
+    def edit(d):
+        d["leg_mode"] = "unlabeled"
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "leg mode" in json.loads(r.stdout)["error"]
+
+
+def test_verify_missing_leg_mode_means_labeled(tmp_path, petersen_3ec_cert):
+    def edit(d):
+        del d["leg_mode"]
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["valid"] is True
+
+
 def test_verify_witness_value_object_is_malformed(tmp_path, petersen_3ec_cert):
     def edit(d):
         w = d["steps"][0]["witness"]["vertices"]

@@ -1,7 +1,8 @@
 """The closure enumerators against the matrix-enumeration oracle.
 
 Class lists must agree key for key, in order; poset covers must equal the
-edge-by-edge recomputation; and a representative must not depend on how
+edge-by-edge recomputation; move graphs must equal the pairwise
+recomputation edge for edge; and a representative must not depend on how
 its class was labeled when it was found.
 """
 
@@ -9,18 +10,27 @@ import random
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropilink.atlas import enumerate_p_regular, enumerate_stable
+from tropilink.atlas import enumerate_p_regular, enumerate_stable, move_graph
 from tropilink.canonical import canonical_form, from_canonical_form
-from tropilink.graphs import (Graph, WeightedGraph, dumps_canonical,
+from tropilink.connectivity import edge_connectivity_capped
+from tropilink.graphs import (Graph, WeightedGraph, contract, dumps_canonical,
                               to_json_dict)
 from tropilink.moduli import build_poset
 
 import enumeration_oracle as oracle
+from conftest import random_connected_multigraph
+
+MOVE_GRAPH_POINTS = [
+    (3, 2, 0), (3, 3, 0), (3, 4, 0), (3, 5, 0), (4, 3, 0), (4, 4, 0),
+    (5, 4, 0),
+    (3, 1, 3), (3, 1, 4), (3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 2),
+]
 
 
 def keys(graphs):
-    return [canonical_form(g, "labeled") for g in graphs]
+    return [canonical_form(g) for g in graphs]
 
 
 @lru_cache(maxsize=None)
@@ -82,3 +92,41 @@ def test_representatives_do_not_depend_on_labeling():
             again = from_canonical_form(canonical_form(_shuffled(rep, rng)))
             assert dumps_canonical(to_json_dict(again)) == \
                 dumps_canonical(to_json_dict(rep))
+
+
+@pytest.mark.parametrize("filt", ["all", "3ec"])
+@pytest.mark.parametrize("p, b, legs", MOVE_GRAPH_POINTS)
+def test_move_graph_matches_pairwise_oracle(p, b, legs, filt):
+    classes, adj = move_graph(p, b, filt, legs=legs)
+    assert [to_json_dict(g) for g in classes] == \
+        [to_json_dict(g) for g in enumerate_p_regular(p, b, filt, legs=legs)]
+    assert adj == oracle.move_graph(classes, three_ec_middles=filt == "3ec")
+    if filt == "3ec":
+        # restricting the middles as well changes nothing (see below)
+        assert adj == oracle.move_graph(classes)
+
+
+def _assert_contraction_keeps_connectivity(g):
+    lam = edge_connectivity_capped(g)
+    for e in g.edges:
+        if not g.is_loop(e):
+            assert edge_connectivity_capped(contract(g, {e})[0]) >= lam
+
+
+@pytest.mark.parametrize("p, b, legs", MOVE_GRAPH_POINTS)
+def test_contraction_never_lowers_edge_connectivity(p, b, legs):
+    """lambda(G/e) >= lambda(G), capped at 3: every cut of G/e is a cut of
+    G, so a 3-edge-connected class links only through 3-edge-connected
+    middles."""
+    for g in enumerate_p_regular(p, b, legs=legs):
+        _assert_contraction_keeps_connectivity(g)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(1, 9), st.integers(0, 8),
+       st.integers(0, 3))
+def test_contraction_never_lowers_edge_connectivity_random(seed, nv, extra,
+                                                           legs):
+    rng = random.Random(seed)
+    _assert_contraction_keeps_connectivity(random_connected_multigraph(
+        rng, max_vertices=nv, max_extra=extra, legs=legs))

@@ -27,13 +27,13 @@ def test_add_remove_round_trip():
     big, v = _add_leg(g, ("edge", g.edges[0]), 2)
     assert big.is_regular() == 3
     back, pos = _remove_leg(big, 2)
-    assert are_isomorphic(back, g, "labeled")
+    assert are_isomorphic(back, g)
     # subdividing a leg works too
     big2, v2 = _add_leg(g, ("leg", g.legs[0]), 2)
     assert big2.is_regular() == 3
     assert len(big2.legs_at(v2)) == 2
     back2, pos2 = _remove_leg(big2, 2)
-    assert are_isomorphic(back2, g, "labeled")
+    assert are_isomorphic(back2, g)
     assert pos2[0] == "leg"
 
 
@@ -53,7 +53,7 @@ def test_two_insertions_over_same_base_linked():
         from tropilink.certificates import LinkageCertificate
 
         cert = LinkageCertificate([A] + [s.right for s in steps], steps,
-                                  "plain", 3, "labeled")
+                                  "plain", 3)
         assert verify_certificate(cert).valid
 
 
@@ -65,16 +65,16 @@ def test_adjacent_insertions_single_strong_link():
     assert len(steps) == 1
 
 
-def _bfs_linked_oracle(classes):
+def _bfs_linked_oracle(g, n):
     """Move-graph reachability: every pair of classes in one component."""
-    adj = move_graph(classes, leg_mode="labeled")
+    _, adj = move_graph(3, g, legs=n)
     return is_connected_adjacency(adj)
 
 
 @pytest.mark.parametrize("g,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_legged_pairwise_linked(g, n):
     cl = legged_classes(g, n)
-    assert _bfs_linked_oracle(cl)
+    assert _bfs_linked_oracle(g, n)
     for a, b in itertools.combinations(cl, 2):
         cert = link_with_legs(a, b)
         rep = verify_certificate(cert, endpoints=(a, b))

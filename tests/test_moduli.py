@@ -2,8 +2,11 @@ import pytest
 
 from tropilink.canonical import canonical_form
 from tropilink.connectivity import edge_connectivity_capped, is_p_regular
-from tropilink.graphs import GraphError, genus, theta_graph
-from tropilink.moduli import (build_poset, check_schottky_codim1,
+from tropilink.atlas import is_connected_adjacency
+from tropilink.graphs import (GraphError, build_graph, dumbbell_graph, genus,
+                              theta_graph)
+from tropilink.moduli import (StrataPoset, Stratum, build_poset,
+                              check_schottky_codim1,
                               connected_through_codim_one, poset_to_dot,
                               poset_to_json_dict)
 
@@ -171,3 +174,30 @@ def test_pure_dimension_violations_reported_empty():
     for g, n, locus in [(2, 0, "all"), (3, 0, "3ec"), (2, 1, "all")]:
         po = build_poset(g, n, locus)
         assert po.pure_dimension_violations() == []
+
+
+def test_hand_built_poset_violations_and_components():
+    """A stratum below no maximal one, and a codimension-one locus in two
+    pieces: both are reported exactly, in index order."""
+    graphs = [
+        build_graph([(0, 0)], weights={0: 1}),               # 0: dim 1
+        theta_graph(),                                       # 1: dim 3
+        build_graph([], weights={0: 2}, isolated=[0]),       # 2: dim 0
+        build_graph([(0, 1), (0, 1)], weights={0: 1, 1: 0}),  # 3: dim 2
+        dumbbell_graph(),                                    # 4: dim 3
+        build_graph([(0, 1)], weights={0: 1, 1: 1}),         # 5: dim 1
+    ]
+    strata = [Stratum(canonical_form(g)) for g in graphs]
+    assert [s.dimension for s in strata] == [1, 3, 0, 2, 3, 1]
+    po = StrataPoset(2, 0, "all", strata, {(1, 3), (3, 5), (0, 2)})
+    assert po.maximal_strata() == [1, 4]
+    assert po.pure_dimension_violations() == [0, 2]
+    assert connected_through_codim_one(po) == (False, [[1, 3], [4]])
+
+
+def test_connected_adjacency_edge_cases():
+    assert is_connected_adjacency({})
+    assert is_connected_adjacency({0: set()})
+    assert is_connected_adjacency({0: {1}, 1: {0}})
+    assert not is_connected_adjacency({0: set(), 1: set()})
+    assert not is_connected_adjacency({0: {1}, 1: {0}, 2: set()})
