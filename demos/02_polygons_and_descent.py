@@ -19,14 +19,15 @@ def main():
               f"epsilon={epsilon(nf)}")
     print()
 
-    ham, steps = hamiltonize(petersen_graph())
+    # hamiltonization ends on a hamiltonian cycle: the frame of the descent
+    ham, steps, cycle = hamiltonize(petersen_graph())
     print(f"Petersen hamiltonized in {len(steps)} lengthening step(s)")
-    nf = normalize(ham)
+    nf = normalize(ham, cycle)
     print(f"normal form: gamma={nf.gamma}, chords={nf.chord_positions()}, "
           f"epsilon={epsilon(nf)}")
 
     trace = []
-    cert = reduce_to_polygon(ham, epsilon_trace=trace)
+    cert = reduce_to_polygon(ham, cycle=cycle, epsilon_trace=trace)
     print(f"descent: epsilon trace {trace} over {len(cert.steps)} strong links")
     print("verify:", verify_certificate(cert).valid)
 

@@ -7,15 +7,14 @@ from .graphs import (Graph, WeightedGraph, TropicalCurve, ContractionMap,
                      petersen_graph, to_json_dict, from_json_dict, to_dot)
 from .canonical import are_isomorphic, canonical_form, isomorphism_witness
 from .connectivity import (Cycle, all_cycles, edge_connectivity_capped,
-                           is_hamiltonian, is_p_regular, longest_cycle,
-                           two_cycle_criterion)
+                           is_p_regular, longest_cycle)
 from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
                           find_partner_short_chord, normalize)
 from .hamiltonize import (hamiltonize, lengthen_cycle_step, remove_loop_step,
                           valency_reducing_extension)
-from .linkage import (LinkageCertificate, StrongLinkStep, factor_twist, link,
-                      link_with_legs, reduce_to_polygon, strong_link_check,
-                      twist, twist_3ec, verify_certificate)
+from .certificates import (LinkageCertificate, StrongLinkStep, strong_link_check,
+                           verify_certificate)
+from .linkage import factor_twist, link, reduce_to_polygon, twist, twist_3ec
 from .atlas import enumerate_p_regular, enumerate_stable, move_graph
 from .moduli import (StrataPoset, Stratum, build_poset, check_schottky_codim1,
                      connected_through_codim_one)

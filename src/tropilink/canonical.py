@@ -224,11 +224,14 @@ def _match_legs(ga: Graph, gb: Graph, alpha_v: dict[int, int]) -> dict[int, int]
     return alpha_l
 
 
-def isomorphism_witness(a, b):
-    """A triple (alpha_V, alpha_E, alpha_L) taking a to b, or None."""
+def isomorphism_witness(a, b, *, marked=((), ())):
+    """A triple (alpha_V, alpha_E, alpha_L) taking a to b, or None.
+
+    marked = (vertices of a, vertices of b): the witness must map the first
+    mark set onto the second."""
     wa, wb = _as_weighted(a), _as_weighted(b)
-    enc_a, order_a = canonical_labeling(wa)
-    enc_b, order_b = canonical_labeling(wb)
+    enc_a, order_a = canonical_labeling(wa, marked=marked[0])
+    enc_b, order_b = canonical_labeling(wb, marked=marked[1])
     if enc_a != enc_b:
         return None
     alpha_v = dict(zip(order_a, order_b))

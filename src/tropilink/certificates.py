@@ -14,8 +14,8 @@ and is caught by the verifier.
 
 from __future__ import annotations
 
-from .canonical import _match_edges, _match_legs, are_isomorphic, canonical_labeling
-from .connectivity import edge_connectivity_capped
+from .canonical import are_isomorphic, isomorphism_witness
+from .connectivity import Cycle, edge_connectivity_capped
 from .graphs import (Graph, GraphError, _json_int, contract, from_json_dict,
                      to_json_dict, underlying_graph)
 
@@ -77,21 +77,15 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
     ml = cm_l.image_vertex(left_edge)
     mr = cm_r.image_vertex(right_edge)
 
-    enc_l, order_l = canonical_labeling(mid_l, marked={ml})
-    enc_r, order_r = canonical_labeling(mid_r, marked={mr})
-    if enc_l != enc_r:
+    witness = isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))
+    if witness is None:
         if are_isomorphic(mid_l, mid_r):
             return StrongLinkFailure(
                 "no_marked_witness",
                 "contractions isomorphic but never matching the contracted vertices",
             )
         return StrongLinkFailure("not_isomorphic", "contractions are not isomorphic")
-
-    alpha_v = dict(zip(order_r, order_l))
-    alpha_e = _match_edges(mid_r, mid_l, alpha_v)
-    alpha_l = _match_legs(mid_r, mid_l, alpha_v)
-    return StrongLinkStep(left, left_edge, right, right_edge,
-                          (alpha_v, alpha_e, alpha_l))
+    return StrongLinkStep(left, left_edge, right, right_edge, witness)
 
 
 class LinkageCertificate:
@@ -199,8 +193,6 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
 
 
 def _check_cert_cycles(problems, idx, graph, edge, cycles):
-    from .connectivity import Cycle  # local import to avoid a cycle
-
     sets = []
     for which, keys in zip(("first", "second"), cycles):
         try:

@@ -23,7 +23,7 @@ from .certificates import (certificate_from_json_dict, certificate_to_json_dict,
 from .connectivity import CycleSearchBudgetExceeded
 from .graphs import (GraphError, dumps_canonical, from_json_dict, to_dot,
                      to_json_dict, underlying_graph)
-from .linkage import link, link_with_legs
+from .linkage import link
 from .normal_form import build_polygon
 
 
@@ -47,10 +47,7 @@ def _emit(text: str, out: str | None):
 def _cmd_link(args) -> int:
     g1 = _load_graph(args.g1)
     g2 = _load_graph(args.g2)
-    if g1.legs or g2.legs:
-        cert = link_with_legs(g1, g2)
-    else:
-        cert = link(g1, g2, args.mode)
+    cert = link(g1, g2, args.mode)
     report = verify_certificate(cert, endpoints=(g1, g2))
     if not report.valid:
         raise GraphError(f"produced certificate fails to verify: {report}")

@@ -12,8 +12,6 @@ cycle of length 1 and a pair of parallel edges a valid cycle of length 2.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .graphs import Graph, GraphError
 
 
@@ -194,34 +192,3 @@ def longest_cycle(g: Graph, budget: int | None = None) -> Cycle | None:
         if best_key is None or key < best_key:
             best, best_key = c, key
     return best
-
-
-def is_hamiltonian(g: Graph, budget: int | None = None) -> bool:
-    """True iff |V| >= 2 and some cycle passes through every vertex."""
-    if len(g.vertices) < 2:
-        return False
-    c = longest_cycle(g, budget)
-    return c is not None and c.length == len(g.vertices)
-
-
-def two_cycle_criterion(g: Graph, budget: int | None = None) -> bool:
-    """True iff every edge lies in two cycles meeting only in that edge.
-
-    Sufficient for 3-edge-connectivity.  A loop lies in a single cycle, so
-    any loop makes the criterion fail.
-    """
-    cycles = all_cycles(g, budget)
-    by_edge: dict[int, list[frozenset]] = {e: [] for e in g.edges}
-    for c in cycles:
-        for e in c.edge_keys:
-            by_edge[e].append(c.edge_set)
-    for e in g.edges:
-        found = False
-        sets = by_edge[e]
-        for s1, s2 in combinations(sets, 2):
-            if s1 & s2 == {e}:
-                found = True
-                break
-        if not found:
-            return False
-    return True

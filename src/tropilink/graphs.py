@@ -374,24 +374,20 @@ def _component_roots(vertices: Iterable[int],
 
 
 class ContractionMap:
-    """Record of a contraction: source, target and the id correspondences.
+    """Record of a contraction: the source graph, the contracted edges and
+    where each source vertex went.
 
-    Edge and leg correspondences are identity maps on ids because contraction
-    keeps the ids it does not consume; target vertices are named by the
+    Contraction keeps the ids it does not consume, so edges and legs of the
+    target are those of the source; target vertices are named by the
     smallest source vertex in their preimage component.
     """
 
-    __slots__ = ("source", "target", "contracted_set", "vertex_map",
-                 "edge_correspondence", "leg_correspondence")
+    __slots__ = ("source", "contracted_set", "vertex_map")
 
-    def __init__(self, source, target, contracted_set, vertex_map,
-                 edge_correspondence, leg_correspondence):
+    def __init__(self, source, contracted_set, vertex_map):
         self.source = source
-        self.target = target
         self.contracted_set = frozenset(contracted_set)
         self.vertex_map = dict(vertex_map)
-        self.edge_correspondence = dict(edge_correspondence)
-        self.leg_correspondence = dict(leg_correspondence)
 
     def image_vertex(self, key: int) -> int:
         """Target vertex a contracted edge was collapsed to."""
@@ -416,14 +412,7 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
     inv = {h: p for h, p in g.involution.items() if h not in drop}
     ep = {h: vmap[g.endpoint[h]] for h in inv}
     target = Graph(new_vertices, inv, ep, g.leg_labels)
-
-    kept = [e for e in g.edges if e not in S]
-    cmap = ContractionMap(
-        g, target, S, vmap,
-        {e: e for e in kept},
-        {h: h for h in g.legs},
-    )
-    return target, cmap
+    return target, ContractionMap(g, S, vmap)
 
 
 def b1_of_edge_subset(g: Graph, S: Iterable[int]) -> int:
@@ -454,10 +443,7 @@ def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> tuple[WeightedGrap
     for vbar in target.vertices:
         b1_comp = comp_edges[vbar] - len(comp_vertices[vbar]) + 1
         w[vbar] = b1_comp + sum(wg.weight[v] for v in comp_vertices[vbar])
-    out = WeightedGraph(target, w)
-    cmap = ContractionMap(wg, out, S, cmap.vertex_map,
-                          cmap.edge_correspondence, cmap.leg_correspondence)
-    return out, cmap
+    return WeightedGraph(target, w), cmap
 
 
 # -- stabilization ------------------------------------------------------------

@@ -155,15 +155,10 @@ def remove_loop_step(g: Graph, delta: Cycle, loop: int, mode: str = "plain"):
 def hamiltonize(g: Graph, mode: str = "plain"):
     """Chain of strong links from g to a p-hamiltonian graph.
 
-    Returns (final graph, steps).  Already p-hamiltonian inputs give an
-    empty step list.  In 3ec mode the input must be 3-edge-connected and
-    every graph along the way stays so.
-    """
-    return _hamiltonize(g, mode)[:2]
-
-
-def _hamiltonize(g: Graph, mode: str):
-    """hamiltonize, also returning the final graph's hamiltonian cycle.
+    Returns (final graph, steps, hamiltonian cycle of the final graph), the
+    cycle being the frame `reduce_to_polygon` descends on.  Already
+    p-hamiltonian inputs give an empty step list.  In 3ec mode the input
+    must be 3-edge-connected and every graph along the way stays so.
 
     Each graph of the chain is searched for a longest cycle once; that cycle
     tells whether the graph is hamiltonian, drives the next move and checks

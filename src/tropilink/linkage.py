@@ -15,27 +15,22 @@ the contracted edge.
 Linking two arbitrary p-regular graphs of equal genus: hamiltonize both,
 descend both to the p-polygon, and splice the second chain reversed.  The
 hamiltonian cycle that ends hamiltonization is the frame of the descent, so
-no graph of the chain is searched for cycles twice.  The legged variant
-walks one leg at a time between insertion points and lifts a legless chain
-across.
+no graph of the chain is searched for cycles twice.  Legged graphs are
+linked one leg at a time: the chain without the leg is lifted across, and
+the leg walks between insertion points where it must.
 """
 
 from __future__ import annotations
 
 from .canonical import are_isomorphic, isomorphism_witness
-from .certificates import (LinkageCertificate, StrongLinkFailure, StrongLinkStep,
-                           strong_link_check, verify_certificate)
+from .certificates import LinkageCertificate, StrongLinkStep, strong_link_check
 from .connectivity import Cycle, edge_connectivity_capped
 from .graphs import Graph, GraphError, InternalConsistencyError
-from .hamiltonize import _hamiltonize
+from .hamiltonize import hamiltonize
 from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
                           is_short, normalize, short_arc)
 
-__all__ = [
-    "twist", "factor_twist", "twist_3ec", "reduce_to_polygon", "link",
-    "link_with_legs", "strong_link_check", "verify_certificate",
-    "LinkageCertificate", "StrongLinkStep", "StrongLinkFailure",
-]
+__all__ = ["twist", "factor_twist", "twist_3ec", "reduce_to_polygon", "link"]
 
 
 # -- twisting at the half-edge level -----------------------------------------
@@ -371,23 +366,17 @@ def _apply_claim_3ec(nf: NormalizedForm, sel: _ClaimSelection):
 # -- the descent ---------------------------------------------------------------
 
 
-def reduce_to_polygon(g: Graph, mode: str = "plain",
+def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
                       epsilon_trace: list | None = None) -> LinkageCertificate:
     """Certificate from a p-hamiltonian graph to the p-polygon.
 
-    Each outer iteration twists a minimal claim pair, strictly decreasing
-    epsilon; plain mode factors the twist through consecutive swaps, 3ec
-    mode runs the two schedules and keeps every graph 3-edge-connected.
-    When a list is passed as epsilon_trace, the epsilon value before each
-    iteration and after the last one is appended to it.
+    The descent works on the frame of `cycle`, a hamiltonian cycle of g
+    (searched for when None).  Each outer iteration twists a minimal claim
+    pair, strictly decreasing epsilon; plain mode factors the twist through
+    consecutive swaps, 3ec mode runs the two schedules and keeps every graph
+    3-edge-connected.  When a list is passed as epsilon_trace, the epsilon
+    value before each iteration and after the last one is appended to it.
     """
-    return _descend(g, None, mode, epsilon_trace)
-
-
-def _descend(g: Graph, delta: Cycle | None, mode: str,
-             epsilon_trace: list | None = None) -> LinkageCertificate:
-    """reduce_to_polygon on the frame of delta, a hamiltonian cycle of g
-    (searched for when None)."""
     if mode not in ("plain", "3ec"):
         raise GraphError(f"unknown mode {mode!r}")
     p = g.is_regular()
@@ -395,7 +384,7 @@ def _descend(g: Graph, delta: Cycle | None, mode: str,
         raise GraphError("graph is not regular")
     if mode == "3ec" and edge_connectivity_capped(g) != 3:
         raise GraphError("3ec mode needs a 3-edge-connected input")
-    nf = normalize(g, delta)
+    nf = normalize(g, cycle)
     apply_claim = _apply_claim_plain if mode == "plain" else _apply_claim_3ec
 
     graphs = [g]
@@ -457,12 +446,12 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
     """Certificate linking two p-regular graphs of equal genus.
 
     In 3ec mode both inputs must be 3-edge-connected and every chain graph
-    (middles included) stays 3-edge-connected.
+    (middles included) stays 3-edge-connected.  Graphs with legs must be
+    3-regular counting legs and carry the same leg labels; they are linked
+    in plain mode, and every witness respects the labels.
     """
     if mode not in ("plain", "3ec"):
         raise GraphError(f"unknown mode {mode!r}")
-    if g1.legs or g2.legs:
-        raise GraphError("legged graphs are linked by link_with_legs")
     p1, p2 = g1.is_regular(), g2.is_regular()
     if p1 is None or p2 is None or p1 != p2:
         raise GraphError("both graphs must be p-regular for the same p")
@@ -470,6 +459,11 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
         raise GraphError("linkage needs p >= 3")
     if g1.b1 != g2.b1:
         raise GraphError("graphs must have the same first Betti number")
+    labels = sorted(g1.leg_labels.values())
+    if labels != sorted(g2.leg_labels.values()):
+        raise GraphError("graphs must carry the same leg labels")
+    if labels and (p1, mode) != (3, "plain"):
+        raise GraphError("graphs with legs are linked 3-regular, in plain mode")
     if mode == "3ec":
         for g, name in ((g1, "first"), (g2, "second")):
             if edge_connectivity_capped(g) != 3:
@@ -477,14 +471,14 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
 
     if are_isomorphic(g1, g2):
         step = _bridge_step(g1, g2)
-        if step is None:
-            return LinkageCertificate([g1], [], mode, p1)
-        return _assemble(g1, [step], mode, p1)
+        return _assemble(g1, [] if step is None else [step], mode, p1)
+    if labels:
+        return _link_legs(g1, g2, labels[-1])
 
-    h1, s1, delta1 = _hamiltonize(g1, mode)
-    h2, s2, delta2 = _hamiltonize(g2, mode)
-    r1 = _descend(h1, delta1, mode)
-    r2 = _descend(h2, delta2, mode)
+    h1, s1, cycle1 = hamiltonize(g1, mode)
+    h2, s2, cycle2 = hamiltonize(g2, mode)
+    r1 = reduce_to_polygon(h1, mode, cycle1)
+    r2 = reduce_to_polygon(h2, mode, cycle2)
 
     steps = list(s1) + list(r1.steps)
     p1_end, p2_end = r1.graphs[-1], r2.graphs[-1]
@@ -659,34 +653,13 @@ def _fresh_position(g: Graph, avoid_edge: int):
     raise InternalConsistencyError("no position available to move the leg to")
 
 
-def link_with_legs(g1: Graph, g2: Graph) -> LinkageCertificate:
-    """Certificate linking two 3-regular graphs with the same labeled legs.
-
-    Strong-link witnesses respect leg labels throughout.
-    """
-    for g, name in ((g1, "first"), (g2, "second")):
-        if g.is_regular() != 3:
-            raise GraphError(f"{name} graph is not 3-regular counting legs")
-    if g1.b1 != g2.b1:
-        raise GraphError("graphs must have the same first Betti number")
-    labels1 = sorted(g1.leg_labels.values())
-    if labels1 != sorted(g2.leg_labels.values()):
-        raise GraphError("graphs must carry the same leg labels")
-
-    if are_isomorphic(g1, g2):
-        step = _bridge_step(g1, g2)
-        if step is None and g1 != g2:
-            return LinkageCertificate([g1], [], "plain", 3)
-        steps = [] if step is None else [step]
-        return _assemble(g1, steps, "plain", 3)
-
-    if not labels1:
-        return link(g1, g2, "plain")
-
-    label = max(labels1)
+def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
+    """`link` for non-isomorphic legged graphs: link the graphs without the
+    leg labeled `label`, then lift that chain, walking the leg between
+    insertion points where a base step would contract the edge it sits on."""
     base1, q1 = _remove_leg(g1, label)
     base2, q2 = _remove_leg(g2, label)
-    sub = link_with_legs(base1, base2)
+    sub = link(base1, base2)
 
     steps: list[StrongLinkStep] = []
     cur_graph = g1

@@ -4,6 +4,7 @@ import random
 import pytest
 
 import tropilink
+from tropilink.connectivity import longest_cycle
 from tropilink.graphs import build_graph
 
 
@@ -19,6 +20,14 @@ def cli_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+def is_hamiltonian(g, budget=None) -> bool:
+    """True iff |V| >= 2 and some cycle passes through every vertex."""
+    if len(g.vertices) < 2:
+        return False
+    c = longest_cycle(g, budget)
+    return c is not None and c.length == len(g.vertices)
 
 
 def random_connected_multigraph(rng: random.Random, max_vertices=12,

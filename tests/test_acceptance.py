@@ -18,18 +18,17 @@ from tropilink.atlas import (enumerate_p_regular, is_connected_adjacency,
 from tropilink.canonical import are_isomorphic, canonical_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkStep,
                                     verify_certificate)
-from tropilink.connectivity import (edge_connectivity_capped, is_hamiltonian,
-                                    longest_cycle)
+from tropilink.connectivity import edge_connectivity_capped, longest_cycle
 from tropilink.graphs import (b1_of_edge_subset, build_graph, contract,
                               dumps_canonical, dumbbell_graph, genus,
                               petersen_graph, theta_graph, to_json_dict,
                               weighted_contract)
-from tropilink.linkage import link, link_with_legs, reduce_to_polygon
+from tropilink.linkage import link, reduce_to_polygon
 from tropilink.moduli import (build_poset, check_schottky_codim1,
                               connected_through_codim_one)
 from tropilink.normal_form import build_polygon, epsilon, normalize
 
-from conftest import cli_env, random_connected_multigraph
+from conftest import cli_env, is_hamiltonian, random_connected_multigraph
 
 PAIRS = [(3, 2), (3, 3), (3, 4), (4, 3)]
 
@@ -182,7 +181,7 @@ def test_criterion_6_legged_linkage():
     for g, n in [(1, 2), (2, 1), (2, 2)]:
         cl = enumerate_p_regular(3, g, legs=n)
         for a, b in itertools.combinations_with_replacement(cl, 2):
-            cert = link_with_legs(a, b)
+            cert = link(a, b)
             assert verify_certificate(cert, endpoints=(a, b)).valid
             total += 1
     ok(6, f"{total} legged pairs linked with verified certificates at "
@@ -251,7 +250,7 @@ def test_criterion_10_mutation_testing():
     certs = [
         link(theta_graph(), dumbbell_graph()),
         link(petersen_graph(), build_polygon(3, 10), "3ec"),
-        link_with_legs(*enumerate_p_regular(3, 1, legs=2)[:2]),
+        link(*enumerate_p_regular(3, 1, legs=2)[:2]),
     ]
     mutations = 0
     for cert in certs:

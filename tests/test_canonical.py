@@ -130,6 +130,15 @@ def test_witness_is_valid_isomorphism(rng):
         _check_witness(g.graph, h.graph, w2)
 
 
+def test_witness_maps_marks_onto_marks():
+    path = build_graph([(0, 1), (0, 1), (1, 2), (1, 2)])
+    w = isomorphism_witness(path, path, marked=({0}, {2}))
+    assert w is not None and w[0][0] == 2
+    _check_witness(path, path, w)
+    assert isomorphism_witness(path, path, marked=({0}, {1})) is None
+    assert isomorphism_witness(path, path, marked=({0}, ())) is None
+
+
 def test_petersen_selfisomorphic_nontrivially(rng):
     p = petersen_graph()
     q = shuffled_copy(p, rng)

@@ -12,6 +12,7 @@ from tropilink.graphs import (InternalConsistencyError, build_graph,
                               dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
                               to_json_dict)
+from tropilink.atlas import enumerate_p_regular
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
 
@@ -64,6 +65,21 @@ def test_link_3ec_petersen(tmp_path):
     assert r2.returncode == 0, r2.stdout + r2.stderr
     r3 = run_cli("verify", "cert.json", "--mode", "3ec", cwd=tmp_path)
     assert r3.returncode == 0, r3.stdout + r3.stderr
+
+
+def test_link_legged_3ec_exits_2(tmp_path, capsys):
+    """3ec linkage is not defined on legged graphs: the mode is refused, not
+    dropped in favour of a plain certificate."""
+    a, b = enumerate_p_regular(3, 1, legs=2)[:2]
+    write_graph(tmp_path / "a.json", a)
+    write_graph(tmp_path / "b.json", b)
+    out = tmp_path / "cert.json"
+    argv = ["link", str(tmp_path / "a.json"), str(tmp_path / "b.json"), "-o", str(out)]
+    assert cli.main(argv + ["--mode", "3ec"]) == 2
+    assert "error" in json.loads(capsys.readouterr().out)
+    assert not out.exists()
+    assert cli.main(argv) == 0
+    assert json.loads(out.read_text())["mode"] == "plain"
 
 
 def test_verify_rejects_corruption(tmp_path):

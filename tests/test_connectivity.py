@@ -3,13 +3,28 @@ import itertools
 import pytest
 
 from tropilink.connectivity import (Cycle, CycleSearchBudgetExceeded, all_cycles,
-                                    edge_connectivity_capped, is_hamiltonian,
-                                    is_p_regular, longest_cycle,
-                                    two_cycle_criterion)
+                                    edge_connectivity_capped, is_p_regular,
+                                    longest_cycle)
 from tropilink.graphs import (GraphError, build_graph, cycle_graph,
                               dumbbell_graph, k4_graph, petersen_graph,
                               theta_graph)
 from tropilink.normal_form import build_polygon
+
+from conftest import is_hamiltonian
+
+
+def two_cycle_criterion(g, budget=None) -> bool:
+    """Oracle: every edge lies in two cycles meeting only in that edge.
+
+    Sufficient for 3-edge-connectivity.  A loop lies in a single cycle, so
+    any loop makes the criterion fail.
+    """
+    by_edge = {e: [] for e in g.edges}
+    for c in all_cycles(g, budget):
+        for e in c.edge_keys:
+            by_edge[e].append(c.edge_set)
+    return all(any(s1 & s2 == {e} for s1, s2 in itertools.combinations(sets, 2))
+               for e, sets in by_edge.items())
 
 
 def test_regularity():

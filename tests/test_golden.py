@@ -11,6 +11,10 @@ a digest and say so in CHANGES.md.
 The class representatives come from the matrix-enumeration oracle, whose
 labeled graphs are the inputs the digests were recorded on; the library's
 own enumerator emits canonically relabeled representatives instead.
+
+The legged group links every pair i <= j of 3-regular classes with labeled
+legs at a few (genus, legs) points; its digest was recorded while legged
+graphs still had a linker of their own, before `link` took them over.
 """
 
 import hashlib
@@ -35,6 +39,9 @@ GOLDEN = {
     "random_plain": "212b59eb0f32d1392c22c074bc5be97d36c0bb58dbb537afc2aab771f7b5f22d",
     "random_3ec": "0fac4c54943cce67488e97d14b9c948270013f269532d149e333427d997f2da5",
 }
+
+LEGGED_GOLDEN = "fe7ca6f46b5af4d904807dd6299ad0e1082d0a106cc9d7ff2db3984d28cdbd24"
+LEGGED_POINTS = ((1, 2), (1, 3), (2, 1), (2, 2), (3, 1))  # (genus, legs)
 
 RANDOM_SEED = 7  # its pairs include plain factor walks of 5 consecutive swaps
 RANDOM_SIZES = (12, 14, 16)
@@ -92,13 +99,30 @@ def test_corpus_shape(corpus):
                      "random_plain": 3, "random_3ec": 3}
 
 
+def _digest(certs):
+    """sha256 of the concatenated sha256 digests of the certificates' JSON."""
+    digests = [hashlib.sha256(dumps_canonical(
+        certificate_to_json_dict(c)).encode()).hexdigest() for c in certs]
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("group", sorted(GOLDEN))
 def test_link_certificates_match_golden_digest(corpus, group):
     pairs, mode = corpus[group]
-    digests = [
-        hashlib.sha256(dumps_canonical(
-            certificate_to_json_dict(link(a, b, mode))).encode()).hexdigest()
-        for a, b in pairs
-    ]
-    got = hashlib.sha256("".join(digests).encode()).hexdigest()
+    got = _digest(link(a, b, mode) for a, b in pairs)
     assert got == GOLDEN[group], f"{group}: certificate bytes changed"
+
+
+def _legged_pairs():
+    pairs = []
+    for b, n in LEGGED_POINTS:
+        classes = enumerate_p_regular(3, b, legs=n)
+        pairs += [(a, c) for i, a in enumerate(classes) for c in classes[i:]]
+    return pairs
+
+
+def test_legged_plain_certificates_match_golden_digest():
+    pairs = _legged_pairs()
+    assert len(pairs) == 170
+    got = _digest(link(a, b) for a, b in pairs)
+    assert got == LEGGED_GOLDEN, "legged_plain: certificate bytes changed"

@@ -45,17 +45,19 @@ def test_valency_counts_loops_twice_and_legs_once():
 
 
 def test_contract_theta_edge_gives_two_loops():
-    g, cmap = contract(theta_graph(), {0})
+    t = theta_graph()
+    g, cmap = contract(t, {0})
     assert len(g.vertices) == 1 and len(g.edges) == 2
     assert all(g.is_loop(e) for e in g.edges)
     assert cmap.image_vertex(0) == g.vertices[0]
+    assert set(g.edges) == set(t.edges) - {0}
 
 
 def test_contract_empty_set_is_identity_correspondence():
     t = theta_graph()
     g, cmap = contract(t, set())
     assert g == t
-    assert cmap.edge_correspondence == {e: e for e in t.edges}
+    assert set(g.edges) == set(t.edges) - cmap.contracted_set
     assert cmap.vertex_map == {v: v for v in t.vertices}
 
 

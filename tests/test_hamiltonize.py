@@ -3,13 +3,14 @@ import pytest
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic
 from tropilink.certificates import StrongLinkStep
-from tropilink.connectivity import (edge_connectivity_capped, is_hamiltonian,
-                                    longest_cycle)
+from tropilink.connectivity import edge_connectivity_capped, longest_cycle
 from tropilink.graphs import GraphError, build_graph, contract, petersen_graph
 from tropilink.hamiltonize import (hamiltonize, lengthen_cycle_step,
                                    remove_loop_step,
                                    valency_reducing_extension)
 from tropilink.normal_form import build_polygon
+
+from conftest import is_hamiltonian
 
 
 def test_extension_round_trip_is_exact():
@@ -123,7 +124,7 @@ def test_remove_loop_counts():
 
 
 def test_hamiltonize_petersen_one_step():
-    h, steps = hamiltonize(petersen_graph())
+    h, steps, _ = hamiltonize(petersen_graph())
     assert len(steps) == 1
     assert is_hamiltonian(h)
     assert not any(h.is_loop(e) for e in h.edges)
@@ -132,7 +133,7 @@ def test_hamiltonize_petersen_one_step():
 def test_hamiltonize_identity_on_p_hamiltonian():
     from tropilink.graphs import k4_graph
 
-    h, steps = hamiltonize(k4_graph())
+    h, steps, _ = hamiltonize(k4_graph())
     assert steps == []
     assert h == k4_graph()
 
@@ -142,7 +143,7 @@ def test_hamiltonize_exhaustive_with_verifier():
 
     for p, b in [(3, 2), (3, 3), (4, 3)]:
         for g in enumerate_p_regular(p, b):
-            h, steps = hamiltonize(g)
+            h, steps, _ = hamiltonize(g)
             assert is_hamiltonian(h)
             assert not any(h.is_loop(e) for e in h.edges)
             cert = LinkageCertificate([g] + [s.right for s in steps], steps,
@@ -150,12 +151,21 @@ def test_hamiltonize_exhaustive_with_verifier():
             assert verify_certificate(cert).valid
 
 
+def test_hamiltonize_returns_the_frame_a_search_would_find():
+    for mode, p, b in [("plain", 3, 2), ("plain", 3, 3), ("plain", 4, 3), ("3ec", 3, 4)]:
+        for g in enumerate_p_regular(p, b, "3ec" if mode == "3ec" else "all"):
+            h, _, cycle = hamiltonize(g, mode)
+            assert cycle.length == len(h.vertices)
+            found = longest_cycle(h)
+            assert (cycle.vertices, cycle.edge_keys) == (found.vertices, found.edge_keys)
+
+
 def test_hamiltonize_3ec_mode_exhaustive():
     from tropilink.certificates import LinkageCertificate, verify_certificate
 
     for p, b in [(3, 3), (3, 4)]:
         for g in enumerate_p_regular(p, b, "3ec"):
-            h, steps = hamiltonize(g, "3ec")
+            h, steps, _ = hamiltonize(g, "3ec")
             assert edge_connectivity_capped(h) == 3
             for s in steps:
                 assert edge_connectivity_capped(s.right) == 3
@@ -175,7 +185,7 @@ def test_hamiltonize_loop_count_monotone():
     for p, b in [(3, 2), (4, 3), (3, 3)]:
         for g in enumerate_p_regular(p, b):
             counts = [sum(1 for e in g.edges if g.is_loop(e))]
-            cur, steps = hamiltonize(g)
+            cur, steps, _ = hamiltonize(g)
             for s in steps:
                 counts.append(sum(1 for e in s.right.edges if s.right.is_loop(e)))
             assert all(b2 <= a2 for a2, b2 in zip(counts, counts[1:]))

@@ -6,8 +6,9 @@ from tropilink.atlas import (enumerate_p_regular, is_connected_adjacency,
                              move_graph)
 from tropilink.canonical import are_isomorphic
 from tropilink.certificates import verify_certificate
+from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import GraphError, build_graph
-from tropilink.linkage import _add_leg, _claim_move, _remove_leg, link_with_legs
+from tropilink.linkage import _add_leg, _claim_move, _remove_leg, link
 
 
 def legged_classes(g, n):
@@ -17,7 +18,7 @@ def legged_classes(g, n):
 def test_one_one_single_class():
     cl = legged_classes(1, 1)
     assert len(cl) == 1
-    cert = link_with_legs(cl[0], cl[0])
+    cert = link(cl[0], cl[0])
     assert cert.steps == []
     assert verify_certificate(cert, endpoints=(cl[0], cl[0])).valid
 
@@ -76,7 +77,7 @@ def test_legged_pairwise_linked(g, n):
     cl = legged_classes(g, n)
     assert _bfs_linked_oracle(g, n)
     for a, b in itertools.combinations(cl, 2):
-        cert = link_with_legs(a, b)
+        cert = link(a, b)
         rep = verify_certificate(cert, endpoints=(a, b))
         assert rep.valid, (g, n, rep.first_violation)
 
@@ -85,17 +86,31 @@ def test_legged_rejects_mismatches():
     a = legged_classes(1, 1)[0]
     b = legged_classes(2, 1)[0]
     with pytest.raises(GraphError):
-        link_with_legs(a, b)
+        link(a, b)
     c = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     d = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 7), (1, 8)])
     with pytest.raises(GraphError):
-        link_with_legs(c, d)  # different label sets
+        link(c, d)  # different label sets
+
+
+def test_legged_links_3_regular_in_plain_mode_only():
+    # the one-vertex class at (1, 1) is 3-edge-connected, so only the mode
+    # rule refuses it in 3ec mode; the (1, 2) classes are not
+    one = legged_classes(1, 1)[0]
+    assert edge_connectivity_capped(one) == 3
+    a, b = legged_classes(1, 2)[:2]
+    for g, h in ((one, one), (a, b), (a, a)):
+        with pytest.raises(GraphError):
+            link(g, h, "3ec")
+    four_regular = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
+    with pytest.raises(GraphError):
+        link(four_regular, four_regular)
 
 
 def test_legged_certificates_respect_labels():
     cl = legged_classes(2, 2)
     a, b = cl[0], cl[3]
-    cert = link_with_legs(a, b)
+    cert = link(a, b)
     for g in cert.graphs:
         assert sorted(g.leg_labels.values()) == [1, 2]
     assert verify_certificate(cert, endpoints=(a, b)).valid

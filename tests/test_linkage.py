@@ -10,7 +10,7 @@ import tropilink.normal_form as normal_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkFailure,
                                     StrongLinkStep, strong_link_check,
                                     verify_certificate)
-from tropilink.connectivity import edge_connectivity_capped, is_hamiltonian
+from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
 from tropilink.hamiltonize import hamiltonize
@@ -19,6 +19,7 @@ from tropilink.linkage import (_apply_claim_3ec, _apply_claim_plain,
                                reduce_to_polygon, twist, twist_3ec)
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
+from conftest import is_hamiltonian
 from test_normal_form import nf_with_chords, p_hamiltonian_classes
 
 
@@ -64,7 +65,7 @@ def test_twist_rejects_loops():
 
 def test_strong_link_fig1_pattern():
     p = petersen_graph()
-    h, steps = hamiltonize(p)
+    h, steps, _ = hamiltonize(p)
     step = steps[0]
     redo = strong_link_check(step.left, step.left_edge, step.right,
                              step.right_edge)
@@ -287,7 +288,7 @@ def test_link_searches_each_hamiltonization_graph_once(monkeypatch):
                       (4, 5), (4, 5)])
     chains = []
     for g in (g1, g2):
-        _, steps = hamiltonize(g)
+        _, steps, _ = hamiltonize(g)
         assert steps
         chains += [g] + [s.right for s in steps]
 

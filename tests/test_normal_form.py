@@ -2,12 +2,14 @@ import pytest
 
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic, canonical_form
-from tropilink.connectivity import (edge_connectivity_capped, is_hamiltonian,
-                                    is_p_regular, longest_cycle)
+from tropilink.connectivity import (edge_connectivity_capped, is_p_regular,
+                                    longest_cycle)
 from tropilink.graphs import (GraphError, build_graph, k4_graph, theta_graph)
 from tropilink.normal_form import (NormalizedForm, amplitude, build_polygon,
                                    epsilon, find_partner_short_chord, is_short,
                                    normalize, short_arc)
+
+from conftest import is_hamiltonian
 
 
 def nf_with_chords(gamma, pairs):
