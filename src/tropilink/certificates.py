@@ -354,8 +354,10 @@ def certificate_from_json_dict(d: dict) -> LinkageCertificate:
         for gd in d["graphs"]:
             graphs.append(underlying_graph(from_json_dict(gd)))
         steps = []
-        for s in d["steps"]:
-            i = _int(s["left_index"], "left_index")
+        for i, s in enumerate(d["steps"]):
+            if _int(s["left_index"], "left_index") != i:
+                raise GraphError(f"malformed certificate JSON: step {i} has "
+                                 f"left_index {s['left_index']}")
             w = s["witness"]
             witness = (
                 _id_map(w["vertices"], "witness vertex"),
@@ -376,6 +378,10 @@ def certificate_from_json_dict(d: dict) -> LinkageCertificate:
         leg_mode = d.get("leg_mode", "labeled")
         if leg_mode != "labeled":
             raise GraphError(f"unknown leg mode {leg_mode!r}")
-        return LinkageCertificate(graphs, steps, d["mode"], d["p"])
+        p = _int(d["p"], "p")
+        if p < 3:
+            raise GraphError(f"malformed certificate JSON: p must be >= 3, "
+                             f"not {p}")
+        return LinkageCertificate(graphs, steps, d["mode"], p)
     except (KeyError, TypeError, IndexError, AttributeError) as exc:
         raise GraphError(f"malformed certificate JSON: {exc}") from exc

@@ -5,12 +5,13 @@ one endpoint pair between two chords and keeps the hamiltonian cycle, so the
 same vertex order and cycle edges normalize every graph along the way.  A
 claim step picks a short chord and a partner with disjoint shorter sides
 minimizing the gap between them, and twisting them strictly decreases
-epsilon.  In plain mode each claim twist is factored through
-consecutive-vertex swaps (each a strong link contracting the cycle edge
-between the swapped vertices); in 3ec mode the factoring follows two
-explicit schedules of consecutive twists, each of which preserves
-3-edge-connectivity, certified by a recorded pair of cycles meeting only in
-the contracted edge.
+epsilon.  Each claim twist is one walk of consecutive-vertex swaps, each a
+strong link contracting the cycle edge between the swapped vertices: the
+first chord's end walks up to the partner's past one mid chord per interior
+position, then the partner's end walks back (schedules I and II).  Both
+modes take the same walk; in 3ec mode every swap also keeps the graph
+3-edge-connected, certified by a recorded pair of cycles meeting only in the
+contracted edge.
 
 Linking two arbitrary p-regular graphs of equal genus: hamiltonize both,
 descend both to the p-polygon, and splice the second chain reversed.  The
@@ -50,23 +51,27 @@ def _swap_halves(g: Graph, key_a: int, va: int, key_b: int, vb: int) -> Graph:
     return g.with_endpoints({ha: g.endpoint[hb], hb: g.endpoint[ha]})
 
 
-def _swap_step(nf: NormalizedForm, key_a, ta, key_b, tb, cycles=None,
-               require_3ec=False):
-    """Twist swapping the chord ends at consecutive positions ta, tb; the
-    strong link contracts the cycle edge between them.  Returns the twisted
-    graph's form on the same frame, and the step."""
+def _swap_step(nf: NormalizedForm, g: Graph, key_a, ta, key_b, tb,
+               cycles=None) -> StrongLinkStep:
+    """Twist of g, a graph on nf's hamiltonian cycle, swapping the chord ends
+    at consecutive positions ta, tb; the strong link contracts the cycle
+    edge between them.  A swap closing a chord into a loop is rejected.
+    With a certifying cycle pair, the twisted graph must stay
+    3-edge-connected and the pair is recorded on the step."""
     e = nf.edge_between(ta, tb)
-    g2 = _swap_halves(nf.base, key_a, nf.vertex(ta), key_b, nf.vertex(tb))
-    if require_3ec and edge_connectivity_capped(g2) != 3:
+    g2 = _swap_halves(g, key_a, nf.vertex(ta), key_b, nf.vertex(tb))
+    if g2.is_loop(key_a) or g2.is_loop(key_b):
+        raise GraphError("a consecutive swap would close a chord into a loop")
+    if cycles is not None and edge_connectivity_capped(g2) != 3:
         raise InternalConsistencyError(
             "a scheduled twist lost 3-edge-connectivity"
         )
-    step = strong_link_check(nf.base, e, g2, e)
+    step = strong_link_check(g, e, g2, e)
     if not isinstance(step, StrongLinkStep):
         raise InternalConsistencyError(f"consecutive twist does not link: {step}")
     if cycles is not None:
         step.cert_cycles = tuple(tuple(c) for c in cycles)
-    return nf.with_base(g2), step
+    return step
 
 
 def _mid_chord(nf: NormalizedForm, t: int, avoid) -> int:
@@ -110,30 +115,69 @@ def twist(nf: NormalizedForm, chord_a, chord_b, swap) -> Graph:
     return _swap_halves(nf.base, ka, nf.vertex(pa), kb, nf.vertex(pb))
 
 
-# -- factoring a twist into consecutive swaps ---------------------------------
+# -- the consecutive-swap walk -------------------------------------------------
 
 
-def _factor_walk(nf: NormalizedForm, key_a, pos_a, key_b, pos_b, dirn):
-    """Swap key_a's end at pos_a with key_b's end at pos_b by walking key_a's
-    end toward pos_b in direction dirn, one consecutive twist at a time.
+def _arc_keys(nf: NormalizedForm, a: int, b: int) -> list[int]:
+    """Cycle edge keys e_a..e_b (wrapping allowed, empty if b < a)."""
+    if b < a:
+        return []
+    return [nf.cycle_edge(t) for t in range(a, b + 1)]
 
-    Every interior position must avoid the fixed ends of both chords (the
-    minimality of the descent pair guarantees this for claim twists).
-    Returns (form of the twisted graph on the same frame, steps).
+
+def _walk(nf: NormalizedForm, c1: int, j: int, c2: int, k: int,
+          mode: str = "plain") -> list[StrongLinkStep]:
+    """Swap chord c1's end at j with chord c2's end at k, 1 <= j < k, by
+    consecutive swaps on nf's frame.
+
+    Schedule I walks c1's end up to k past the least mid chord at each
+    interior position; schedule II walks c2's end back down to j past the
+    same mid chords.  Each interior position must avoid the fixed ends of
+    c1 and c2.  In 3ec mode the frame reads c1's shorter side as 1..j and
+    c2's as k..l, with every mid chord reaching k or beyond, and each swap
+    records its certifying cycle pair.  Returns the steps; the last one's
+    right graph is the twist.
     """
-    dist = (dirn * (pos_b - pos_a)) % nf.gamma
-    if dist == 0:
-        raise GraphError("endpoints to swap sit at the same position")
-    if dist == 1:
-        nf2, step = _swap_step(nf, key_a, pos_a, key_b, pos_b)
-        return nf2, [step]
+    mids = {h: _mid_chord(nf, h, (c1, c2)) for h in range(j + 1, k)}
 
-    mid_pos = (pos_a - 1 + dirn) % nf.gamma + 1
-    mid = _mid_chord(nf, mid_pos, (key_a, key_b))
-    nf1, s1 = _swap_step(nf, key_a, pos_a, mid, mid_pos)
-    nf2, rest = _factor_walk(nf1, key_a, mid_pos, key_b, pos_b, dirn)
-    nf3, s3 = _swap_step(nf2, key_b, mid_pos, mid, pos_a)
-    return nf3, [s1] + rest + [s3]
+    def arc(a, b):
+        return _arc_keys(nf, a, b)
+
+    def far_end(g, key, end):
+        """Position of key's end other than the one at `end`, in g."""
+        a, b = (nf.pos[v] for v in g.edge_ends(key))
+        return b if a == end else a
+
+    g, l = nf.base, far_end(nf.base, c2, k)
+    steps = []
+    for h in range(j, k):                       # schedule I
+        partner = c2 if h == k - 1 else mids[h + 1]
+        cycles = None
+        if mode == "3ec":
+            m = far_end(g, partner, h + 1)
+            e_h = nf.cycle_edge(h)
+            cycles = ([e_h, c1] + arc(1, h - 1),
+                      [e_h] + arc(h + 1, m - 1) + [partner])
+        steps.append(_swap_step(nf, g, c1, h, partner, h + 1, cycles))
+        g = steps[-1].right
+    for h in range(k - 1, j, -1):               # schedule II
+        mid = mids[h]
+        cycles = None
+        if mode == "3ec":
+            m = far_end(g, mid, h - 1)
+            e_prev = nf.cycle_edge(h - 1)
+            if m == k:
+                cycles = ([e_prev, mid, c1] + arc(1, h - 2),
+                          [e_prev] + arc(h, l - 1) + [c2])
+            elif m < l:
+                cycles = ([e_prev, mid] + arc(m, l - 1) + [c2],
+                          [e_prev] + arc(h, k - 1) + [c1] + arc(1, h - 2))
+            else:
+                cycles = ([e_prev, mid] + arc(m, nf.gamma) + arc(1, h - 2),
+                          [e_prev] + arc(h, l - 1) + [c2])
+        steps.append(_swap_step(nf, g, c2, h, mid, h - 1, cycles))
+        g = steps[-1].right
+    return steps
 
 
 def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkStep]:
@@ -146,6 +190,8 @@ def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkS
     ia, ja, ka = _resolve_chord(nf, chord_a)
     ib, jb, kb = _resolve_chord(nf, chord_b)
     pa, pb = swap
+    if pa == pb:
+        raise GraphError("endpoints to swap sit at the same position")
     keep_a = ia + ja - pa
     keep_b = ib + jb - pb
     gamma = nf.gamma
@@ -159,19 +205,11 @@ def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkS
         options.append((dist, -dirn, dirn))
     if not options:
         raise GraphError("no walk direction avoids the fixed chord ends")
-    dirn = min(options)[2]
-    _, steps = _factor_walk(nf, ka, pa, kb, pb, dirn)
-    return steps
+    dist, _, dirn = min(options)
+    return _walk(nf.rebased(pa, dirn), ka, 1, kb, dist + 1)
 
 
 # -- the 3ec single twist (with certifying cycles) ----------------------------
-
-
-def _arc_keys(nf: NormalizedForm, a: int, b: int) -> list[int]:
-    """Cycle edge keys e_a..e_b (wrapping allowed, empty if b < a)."""
-    if b < a:
-        return []
-    return [nf.cycle_edge(t) for t in range(a, b + 1)]
 
 
 def twist_3ec(nf: NormalizedForm, chord_a, chord_b):
@@ -209,37 +247,23 @@ def twist_3ec(nf: NormalizedForm, chord_a, chord_b):
         cyc2 = [e_j] + _arc_keys(nf, j + 1, y - 1) + [kw] + \
             _arc_keys(nf, x, j - 1)
 
-    nf2, step = _swap_step(nf, ka, j, kb, j + 1,
-                           cycles=(cyc1, cyc2), require_3ec=True)
-    return nf2.base, step
+    step = _swap_step(nf, nf.base, ka, j, kb, j + 1, (cyc1, cyc2))
+    return step.right, step
 
 
 # -- claim pair selection ------------------------------------------------------
 
 
-class _ClaimSelection:
-    __slots__ = ("j", "k", "l", "dirn", "start", "key1", "key2")
-
-    def __init__(self, j, k, l, dirn, start, key1, key2):
-        self.j, self.k, self.l = j, k, l
-        self.dirn, self.start = dirn, start
-        self.key1, self.key2 = key1, key2
-
-    def to_abs(self, t: int, gamma: int) -> int:
-        return (self.start - 1 + self.dirn * (t - 1)) % gamma + 1
-
-    def to_rel(self, a: int, gamma: int) -> int:
-        return (self.dirn * (a - self.start)) % gamma + 1
-
-
-def _select_claim_pair(nf: NormalizedForm) -> _ClaimSelection | None:
+def _select_claim_pair(nf: NormalizedForm):
     """Deterministic minimal-gap claim pair, oriented so both the shift and
     amplitude conditions hold.
 
     The first chord is short; the second only needs its near side strictly
     shorter than half the cycle (for odd gamma that admits amplitude
     floor(gamma/2), which is what the partner-existence argument actually
-    provides; the defect still drops by at least 1 in that case).
+    provides; the defect still drops by at least 1 in that case).  Returns
+    (frame, j, k, key1, key2): nf rebased so the first chord's near side is
+    1..j and the second's starts at k, or None when no pair exists.
     """
     gamma = nf.gamma
     near = {c[2]: short_arc(nf, c) for c in nf.chords
@@ -269,98 +293,31 @@ def _select_claim_pair(nf: NormalizedForm) -> _ClaimSelection | None:
                 j = len(arc1)
                 k = j + gap
                 l = k + len(arc2) - 1
-                cand = ((gap, j, k, l, -dirn, start, k1, k2),
-                        _ClaimSelection(j, k, l, dirn, start, k1, k2))
-                if best is None or cand[0] < best[0]:
+                cand = (gap, j, k, l, -dirn, start, k1, k2)
+                if best is None or cand < best:
                     best = cand
-    return best[1] if best else None
+    if best is None:
+        return None
+    _, j, k, _, minus_dirn, start, k1, k2 = best
+    return nf.rebased(start, -minus_dirn), j, k, k1, k2
 
 
-def _check_selection(nf: NormalizedForm, sel: _ClaimSelection):
-    """Assert the k-bound and the mid-chord condition the schedules rely on."""
-    gamma = nf.gamma
-    if sel.k > gamma // 2 + 1:
+def _check_selection(frame: NormalizedForm, j: int, k: int, key1: int,
+                     key2: int):
+    """Assert the k-bound and the mid-chord condition the walk relies on."""
+    if k > frame.gamma // 2 + 1:
         raise InternalConsistencyError(
-            f"selected pair violates the k bound: k={sel.k}, gamma={gamma}"
+            f"selected pair violates the k bound: k={k}, gamma={frame.gamma}"
         )
-    for i, j, key in nf.chords:
-        if key in (sel.key1, sel.key2):
+    for a, b, key in frame.chords:
+        if key in (key1, key2):
             continue
-        for a in (i, j):
-            rel = sel.to_rel(a, gamma)
-            if sel.j + 1 <= rel <= sel.k - 1:
-                other = sel.to_rel(i + j - a, gamma)
-                if other < sel.k:
-                    raise InternalConsistencyError(
-                        f"mid-chord condition fails: chord at {rel} "
-                        f"reaches {other} < k={sel.k}"
-                    )
-
-
-# -- applying one claim twist --------------------------------------------------
-
-
-def _rel_form(nf: NormalizedForm, sel: _ClaimSelection) -> NormalizedForm:
-    """The frame re-based so the selection reads off positions 1..gamma."""
-    gamma = nf.gamma
-    order = [nf.vertex(sel.to_abs(t, gamma)) for t in range(1, gamma + 1)]
-    cyc = [nf.edge_between(sel.to_abs(t, gamma), sel.to_abs(t + 1, gamma))
-           for t in range(1, gamma + 1)]
-    return NormalizedForm(nf.base, order, cyc)
-
-
-def _apply_claim_plain(nf: NormalizedForm, sel: _ClaimSelection):
-    """The claim twist factored into consecutive swaps; returns the result on
-    the re-based frame, and the steps."""
-    return _factor_walk(_rel_form(nf, sel), sel.key1, sel.j, sel.key2, sel.k, 1)
-
-
-def _apply_claim_3ec(nf: NormalizedForm, sel: _ClaimSelection):
-    """Schedules I and II: consecutive twists whose net effect is the claim
-    twist, each preserving 3-edge-connectivity with recorded cycle pairs.
-    Returns the result on the re-based frame, and the steps."""
-    rel = _rel_form(nf, sel)
-    gamma = rel.gamma
-    j, k, l = sel.j, sel.k, sel.l
-    c1, c2 = sel.key1, sel.key2
-
-    def rel_pos(form, key, known_end):
-        a, b = (rel.pos[v] for v in form.base.edge_ends(key))
-        return b if a == known_end else a
-
-    mids = {h: _mid_chord(rel, h, (c1, c2)) for h in range(j + 1, k)}
-
-    steps = []
-    cur = rel
-    # schedule I: walk c1's end from j up to k
-    for h in range(j, k):
-        partner = c2 if h == k - 1 else mids[h + 1]
-        m = rel_pos(cur, partner, h + 1)
-        cyc1 = [rel.cycle_edge(h), c1] + _arc_keys(rel, 1, h - 1)
-        cyc2 = [rel.cycle_edge(h)] + _arc_keys(rel, h + 1, m - 1) + [partner]
-        cur, step = _swap_step(cur, c1, h, partner, h + 1,
-                               cycles=(cyc1, cyc2), require_3ec=True)
-        steps.append(step)
-    # schedule II: walk c2's end from k-1 back down to j
-    for h in range(k - 1, j, -1):
-        mid = mids[h]
-        m = rel_pos(cur, mid, h - 1)
-        e_prev = rel.cycle_edge(h - 1)
-        if m == k:
-            cyc1 = [e_prev, mid, c1] + _arc_keys(rel, 1, h - 2)
-            cyc2 = [e_prev] + _arc_keys(rel, h, l - 1) + [c2]
-        elif m < l:
-            cyc1 = [e_prev, mid] + _arc_keys(rel, m, l - 1) + [c2]
-            cyc2 = [e_prev] + _arc_keys(rel, h, k - 1) + [c1] + \
-                _arc_keys(rel, 1, h - 2)
-        else:
-            cyc1 = [e_prev, mid] + _arc_keys(rel, m, gamma) + \
-                _arc_keys(rel, 1, h - 2)
-            cyc2 = [e_prev] + _arc_keys(rel, h, l - 1) + [c2]
-        cur, step = _swap_step(cur, c2, h, mid, h - 1,
-                               cycles=(cyc1, cyc2), require_3ec=True)
-        steps.append(step)
-    return cur, steps
+        for at, other in ((a, b), (b, a)):
+            if j + 1 <= at <= k - 1 and other < k:
+                raise InternalConsistencyError(
+                    f"mid-chord condition fails: chord at {at} "
+                    f"reaches {other} < k={k}"
+                )
 
 
 # -- the descent ---------------------------------------------------------------
@@ -372,10 +329,11 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
 
     The descent works on the frame of `cycle`, a hamiltonian cycle of g
     (searched for when None).  Each outer iteration twists a minimal claim
-    pair, strictly decreasing epsilon; plain mode factors the twist through
-    consecutive swaps, 3ec mode runs the two schedules and keeps every graph
-    3-edge-connected.  When a list is passed as epsilon_trace, the epsilon
-    value before each iteration and after the last one is appended to it.
+    pair, strictly decreasing epsilon, by one walk of consecutive swaps.
+    Both modes take the same walk; 3ec mode also keeps every graph
+    3-edge-connected and records each swap's certifying cycle pair.  When a
+    list is passed as epsilon_trace, the epsilon value before each iteration
+    and after the last one is appended to it.
     """
     if mode not in ("plain", "3ec"):
         raise GraphError(f"unknown mode {mode!r}")
@@ -385,9 +343,7 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
     if mode == "3ec" and edge_connectivity_capped(g) != 3:
         raise GraphError("3ec mode needs a 3-edge-connected input")
     nf = normalize(g, cycle)
-    apply_claim = _apply_claim_plain if mode == "plain" else _apply_claim_3ec
 
-    graphs = [g]
     steps: list[StrongLinkStep] = []
     eps = epsilon(nf)
     if epsilon_trace is not None:
@@ -396,11 +352,11 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
         sel = _select_claim_pair(nf)
         if sel is None:
             raise InternalConsistencyError("positive epsilon but no claim pair")
-        _check_selection(nf, sel)
-        end, more = apply_claim(nf, sel)
-        nf = nf.with_base(end.base)
+        frame, j, k, key1, key2 = sel
+        _check_selection(frame, j, k, key1, key2)
+        more = _walk(frame, key1, j, key2, k, mode)
+        nf = nf.with_base(more[-1].right)
         steps.extend(more)
-        graphs.extend(s.right for s in more)
         new_eps = epsilon(nf)
         if new_eps >= eps:
             raise InternalConsistencyError("claim twist did not decrease epsilon")
@@ -410,7 +366,7 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
 
     if not are_isomorphic(nf.base, build_polygon(p, nf.gamma)):
         raise InternalConsistencyError("descent ended away from the p-polygon")
-    return LinkageCertificate(graphs, steps, mode, p)
+    return _assemble(g, steps, mode, p)
 
 
 # -- full linkage --------------------------------------------------------------
@@ -436,7 +392,7 @@ def _bridge_step(a: Graph, b: Graph):
 def _assemble(first: Graph, steps, mode: str, p: int) -> LinkageCertificate:
     graphs = [first]
     for s in steps:
-        if s.left != graphs[-1]:
+        if s.left is not graphs[-1] and s.left != graphs[-1]:
             raise InternalConsistencyError("certificate chain is not contiguous")
         graphs.append(s.right)
     return LinkageCertificate(graphs, steps, mode, p)

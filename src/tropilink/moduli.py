@@ -85,10 +85,9 @@ class StrataPoset:
 
 
 def _parse_locus(locus) -> tuple[str, int | None]:
-    if isinstance(locus, tuple):
-        return locus
-    if locus in ("all", "pure", "3ec", "three_ec"):
-        return ("3ec" if locus == "three_ec" else locus, None)
+    """all | pure | 3ec | preg:P, as (kind, P)."""
+    if locus in ("all", "pure", "3ec"):
+        return locus, None
     if isinstance(locus, str) and locus.startswith("preg:"):
         try:
             return ("preg", int(locus.split(":", 1)[1]))
@@ -161,7 +160,7 @@ def poset_to_json_dict(poset: StrataPoset) -> dict:
     return {
         "genus": poset.g,
         "legs": poset.n,
-        "locus": str(poset.locus),
+        "locus": poset.locus,
         "strata": [
             {
                 "index": i,

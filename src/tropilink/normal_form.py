@@ -79,6 +79,15 @@ class NormalizedForm:
         such as a twist of this one."""
         return NormalizedForm(graph, self.order, self.cycle_edges)
 
+    def rebased(self, start: int, dirn: int) -> "NormalizedForm":
+        """The same cycle read from position `start` in direction dirn (+1
+        or -1): position t of the result is position start + dirn*(t-1)
+        here, and its e_1 is the cycle edge leaving start that way."""
+        return NormalizedForm(
+            self.base, [self.vertex(start + dirn * t) for t in range(self.gamma)],
+            [self.cycle_edge(start + t if dirn == 1 else start - 1 - t)
+             for t in range(self.gamma)])
+
     def chord_positions(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.chords]
 
@@ -113,23 +122,10 @@ def normalize(g: Graph, delta: Cycle | None = None) -> NormalizedForm:
             raise GraphError("graph is not hamiltonian")
     _check_p_hamiltonian(g, delta)
 
-    gamma = delta.length
-    vs, es = delta.vertices, delta.edge_keys
-    best = None
-    for direction in (1, -1):
-        for r in range(gamma):
-            if direction == 1:
-                order = vs[r:] + vs[:r]
-                edges = es[r:] + es[:r]
-            else:
-                # reversed traversal: v_r, v_{r-1}, ...; e_i precedes v_i
-                order = tuple(vs[(r - t) % gamma] for t in range(gamma))
-                edges = tuple(es[(r - 1 - t) % gamma] for t in range(gamma))
-            nf = NormalizedForm(g, order, edges)
-            key = (nf.chord_positions(), order)
-            if best is None or key < best[0]:
-                best = (key, nf)
-    return best[1]
+    frame = NormalizedForm(g, delta.vertices, delta.edge_keys)
+    return min((frame.rebased(start, dirn) for dirn in (1, -1)
+                for start in range(1, delta.length + 1)),
+               key=lambda nf: (nf.chord_positions(), nf.order))
 
 
 def amplitude(nf: NormalizedForm, chord: tuple[int, int]) -> int:

@@ -331,6 +331,35 @@ def test_verify_impossible_cycle_is_invalid(tmp_path, petersen_3ec_cert, cycle):
     assert json.loads(r.stdout)["problems"][0]["code"] == "cert_cycles"
 
 
+@pytest.mark.parametrize("p", ["3", True, None, 1.0, 3.0, 2, 1])
+def test_verify_p_not_an_integer_from_3_is_malformed(tmp_path, petersen_3ec_cert,
+                                                      p):
+    def edit(d):
+        d["p"] = p
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "p must be" in json.loads(r.stdout)["error"]
+
+
+@pytest.mark.parametrize("step, left_index", [(0, -1), (0, 2), (1, 0),
+                                              (0, "0")])
+def test_verify_left_index_off_its_position_is_malformed(
+        tmp_path, petersen_3ec_cert, step, left_index):
+    # step i links graphs[i] to graphs[i+1]; any other left_index is malformed
+    def edit(d):
+        d["steps"][step]["left_index"] = left_index
+    r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "left_index" in json.loads(r.stdout)["error"]
+
+
+def test_check_codim1_undocumented_locus_exits_2():
+    r = run_cli("check-codim1", "--genus", "2", "--legs", "0",
+                "--locus", "three_ec")
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert "unknown locus" in json.loads(r.stdout)["error"]
+
+
 def test_cycle_search_budget_exits_3(tmp_path, monkeypatch, capsys):
     write_graph(tmp_path / "petersen.json", petersen_graph())
     write_graph(tmp_path / "p10.json", build_polygon(3, 10))

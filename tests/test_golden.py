@@ -15,20 +15,31 @@ own enumerator emits canonically relabeled representatives instead.
 The legged group links every pair i <= j of 3-regular classes with labeled
 legs at a few (genus, legs) points; its digest was recorded while legged
 graphs still had a linker of their own, before `link` took them over.
+
+The twist groups pin the descent's building blocks on their own:
+`factor_twist` over every supported swap of every chord pair of the
+hamiltonian (3,4) classes, walks in both directions included, and
+`twist_3ec` over every case (a)/(b) configuration of the 3-edge-connected
+(3,3) and (3,4) classes, read in each of the 2*gamma labelings of their
+normalizing cycle.  Their digests were recorded while the plain and
+3ec descents still walked their consecutive swaps separately.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
 
-from tropilink.certificates import certificate_to_json_dict
+from tropilink.certificates import (LinkageCertificate,
+                                    certificate_to_json_dict)
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumps_canonical,
                               petersen_graph)
-from tropilink.linkage import link
-from tropilink.normal_form import build_polygon
+from tropilink.linkage import factor_twist, link, twist_3ec
+from tropilink.normal_form import NormalizedForm, build_polygon, normalize
 
+from conftest import is_hamiltonian
 from enumeration_oracle import enumerate_p_regular
 
 GOLDEN = {
@@ -38,6 +49,11 @@ GOLDEN = {
     "petersen_3ec": "e5ac3449dfb4224195143695a14d59faef7ea32ecafb82545f96b8be958d310d",
     "random_plain": "212b59eb0f32d1392c22c074bc5be97d36c0bb58dbb537afc2aab771f7b5f22d",
     "random_3ec": "0fac4c54943cce67488e97d14b9c948270013f269532d149e333427d997f2da5",
+}
+
+TWIST_GOLDEN = {
+    "factor_twist_3_4": "d7242d69ea1d979d35c288c04b78116c39e8b1e48f8a8fdefc6bc4d040aa4258",
+    "twist_3ec_3_3_and_3_4": "56a4d4b69fba6f1eae80a6aab0f64cc297f4630b681d1b082f5d6b6717959f1d",
 }
 
 LEGGED_GOLDEN = "fe7ca6f46b5af4d904807dd6299ad0e1082d0a106cc9d7ff2db3984d28cdbd24"
@@ -126,3 +142,82 @@ def test_legged_plain_certificates_match_golden_digest():
     assert len(pairs) == 170
     got = _digest(link(a, b) for a, b in pairs)
     assert got == LEGGED_GOLDEN, "legged_plain: certificate bytes changed"
+
+
+def _hamiltonian_forms(b, three_ec=False):
+    forms = []
+    for g in enumerate_p_regular(3, b):
+        if any(g.is_loop(e) for e in g.edges) or not is_hamiltonian(g):
+            continue
+        if three_ec and edge_connectivity_capped(g) != 3:
+            continue
+        forms.append(normalize(g))
+    return forms
+
+
+def _steps_cert(nf, steps, mode):
+    return LinkageCertificate([nf.base] + [s.right for s in steps], steps,
+                              mode, 3)
+
+
+def _factor_twist_certs():
+    """factor_twist on every swap it supports: both ends of both chords,
+    no loop created, some walk direction free of the fixed ends."""
+    certs, dirs = [], set()
+    for nf in _hamiltonian_forms(4):
+        for c1, c2 in itertools.combinations(nf.chords, 2):
+            for pa, pb in itertools.product(c1[:2], c2[:2]):
+                if pa == pb or c1[0] + c1[1] - pa == pb \
+                        or c2[0] + c2[1] - pb == pa:
+                    continue
+                try:
+                    steps = factor_twist(nf, c1, c2, swap=(pa, pb))
+                except GraphError:
+                    continue
+                # the walk's first step contracts the cycle edge at pa
+                dirs.add(nf.edge_between(pa, pa + 1) == steps[0].left_edge)
+                certs.append(_steps_cert(nf, steps, "plain"))
+    return certs, dirs
+
+
+def _labelings(nf):
+    """The frame of nf read from every start position in both directions,
+    built by hand so the library's own rotation is not what is pinned."""
+    gamma = nf.gamma
+    for start in range(1, gamma + 1):
+        for dirn in (1, -1):
+            yield NormalizedForm(
+                nf.base, [nf.vertex(start + dirn * t) for t in range(gamma)],
+                [nf.cycle_edge(start + t if dirn == 1 else start - 1 - t)
+                 for t in range(gamma)])
+
+
+def _twist_3ec_certs():
+    certs = []
+    for nf0 in _hamiltonian_forms(3, three_ec=True) + \
+            _hamiltonian_forms(4, three_ec=True):
+        for nf in _labelings(nf0):
+            for i, j, key in nf.chords:
+                for c2 in nf.chords_at(j + 1):
+                    if c2[2] == key:
+                        continue
+                    try:
+                        _, step = twist_3ec(nf, (i, j, key), c2)
+                    except GraphError:
+                        continue
+                    certs.append(_steps_cert(nf, [step], "3ec"))
+    return certs
+
+
+def test_factor_twist_steps_match_golden_digest():
+    certs, dirs = _factor_twist_certs()
+    assert len(certs) > 20 and dirs == {True, False}  # both walk directions
+    assert _digest(certs) == TWIST_GOLDEN["factor_twist_3_4"], \
+        "factor_twist: step bytes changed"
+
+
+def test_twist_3ec_steps_match_golden_digest():
+    certs = _twist_3ec_certs()
+    assert len(certs) == 16 and all(c.steps[0].cert_cycles for c in certs)
+    assert _digest(certs) == TWIST_GOLDEN["twist_3ec_3_3_and_3_4"], \
+        "twist_3ec: step bytes changed"

@@ -4,22 +4,23 @@ import random
 
 import pytest
 
+from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic
 import tropilink.connectivity as connectivity
 import tropilink.normal_form as normal_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkFailure,
-                                    StrongLinkStep, strong_link_check,
-                                    verify_certificate)
+                                    StrongLinkStep, certificate_to_json_dict,
+                                    strong_link_check, verify_certificate)
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
 from tropilink.hamiltonize import hamiltonize
-from tropilink.linkage import (_apply_claim_3ec, _apply_claim_plain,
-                               _select_claim_pair, factor_twist, link,
+from tropilink.linkage import (_select_claim_pair, _walk, factor_twist, link,
                                reduce_to_polygon, twist, twist_3ec)
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
 from conftest import is_hamiltonian
+from test_golden import _random_cubic
 from test_normal_form import nf_with_chords, p_hamiltonian_classes
 
 
@@ -130,6 +131,17 @@ def test_factor_distance_two_gives_three_steps():
     assert are_isomorphic(end, want)
 
 
+@pytest.mark.parametrize("chord_a, chord_b, swap", [
+    ((1, 2), (1, 4), (1, 1)),   # both ends at one position
+    ((1, 2), (2, 3), (1, 2)),   # the twist closes (2, 2)
+    ((1, 2), (1, 4), (2, 4)),   # the walk past mid chord (2, 3) closes (2, 2)
+])
+def test_factor_twist_rejects_what_it_cannot_walk(chord_a, chord_b, swap):
+    nf = nf_with_chords(4, [(1, 2), (1, 4), (2, 3), (3, 4)])
+    with pytest.raises(GraphError):
+        factor_twist(nf, chord_a, chord_b, swap)
+
+
 def test_factor_matches_twist_on_random_claim_pairs(rng):
     cases = 0
     for g in p_hamiltonian_classes(3, 4):
@@ -138,8 +150,9 @@ def test_factor_matches_twist_on_random_claim_pairs(rng):
         if sel is None:
             continue
         cases += 1
-        cur, steps = _apply_claim_plain(nf, sel)
-        assert len(steps) == 2 * (sel.k - sel.j) - 1
+        frame, j, k, key1, key2 = sel
+        steps = _walk(frame, key1, j, key2, k)
+        assert len(steps) == 2 * (k - j) - 1
         assert verify_certificate(_steps_cert(nf.base, steps)).valid
     assert cases > 0
 
@@ -243,7 +256,17 @@ def test_claim_decrease_at_least_two():
             assert all(b2 - a2 <= -2 for a2, b2 in zip(trace, trace[1:]))
 
 
+def _same_steps_but_cycles(plain, tec):
+    """The 3ec steps are the plain ones, each with its cycle pair added."""
+    assert len(plain) == len(tec)
+    for a, b in zip(plain, tec):
+        assert (a.left_edge, a.right_edge, a.witness, a.right) == \
+            (b.left_edge, b.right_edge, b.witness, b.right)
+        assert a.cert_cycles is None and b.cert_cycles is not None
+
+
 def test_schedules_compose_to_claim_twist():
+    cases = 0
     for g in p_hamiltonian_classes(3, 4):
         if edge_connectivity_capped(g) != 3:
             continue
@@ -251,10 +274,43 @@ def test_schedules_compose_to_claim_twist():
         sel = _select_claim_pair(nf)
         if sel is None:
             continue
-        plain_end, _ = _apply_claim_plain(nf, sel)
-        sched_end, _ = _apply_claim_3ec(nf, sel)
+        cases += 1
+        frame, j, k, key1, key2 = sel
+        plain = _walk(frame, key1, j, key2, k)
+        sched = _walk(frame, key1, j, key2, k, "3ec")
+        plain_end = frame.with_base(plain[-1].right)
+        sched_end = frame.with_base(sched[-1].right)
         assert chord_multiset(plain_end) == chord_multiset(sched_end)
         assert are_isomorphic(plain_end.base, sched_end.base)
+        _same_steps_but_cycles(plain, sched)
+    assert cases > 0
+
+
+def _plain_json(cert):
+    d = certificate_to_json_dict(cert)
+    for step in d["steps"]:
+        step.pop("cycles", None)
+    return dict(d, mode="plain")
+
+
+def test_plain_and_3ec_descents_differ_only_in_cycles():
+    # every 3ec class at (3,4), (4,3), (4,4), Petersen, and seeded random
+    # 3ec cubic graphs, whose descents take many-swap walks
+    graphs = [petersen_graph()]
+    for p, b in [(3, 4), (4, 3), (4, 4)]:
+        graphs += [g for g in enumerate_p_regular(p, b)
+                   if edge_connectivity_capped(g) == 3]
+    rng = random.Random(3)
+    graphs += [_random_cubic(rng, n, True) for n in (12, 14, 16)]
+    walked = 0
+    for g in graphs:
+        h, _, cycle = hamiltonize(g, "3ec")
+        plain = reduce_to_polygon(h, "plain", cycle)
+        tec = reduce_to_polygon(h, "3ec", cycle)
+        _same_steps_but_cycles(plain.steps, tec.steps)
+        assert _plain_json(tec) == certificate_to_json_dict(plain)
+        walked += len(tec.steps)
+    assert walked > 20
 
 
 # -- full linkage --------------------------------------------------------------
@@ -395,20 +451,16 @@ def test_factor_matches_twist_on_random_configs(rng):
     assert done > 20
 
 
-def _claim_sel(nf, pair1, pair2, j, k, l):
-    from tropilink.linkage import _ClaimSelection
-
+def _run_schedules(nf, pair1, pair2, j, k):
+    """Both walks of the claim pair read off nf's own frame."""
     key1 = next(key for i, jj, key in nf.chords if (i, jj) == pair1)
     key2 = next(key for i, jj, key in nf.chords if (i, jj) == pair2)
-    return _ClaimSelection(j, k, l, 1, 1, key1, key2)
-
-
-def _run_schedules(nf, sel):
-    plain_end, _ = _apply_claim_plain(nf, sel)
-    end, steps = _apply_claim_3ec(nf, sel)
+    plain = _walk(nf, key1, j, key2, k)
+    steps = _walk(nf, key1, j, key2, k, "3ec")
     cert = _steps_cert(nf.base, steps, "3ec", p=nf.base.is_regular())
     assert verify_certificate(cert, mode="3ec").valid
-    assert chord_multiset(end) == chord_multiset(plain_end)
+    end = nf.with_base(steps[-1].right)
+    assert chord_multiset(end) == chord_multiset(nf.with_base(plain[-1].right))
     return end.base, steps
 
 
@@ -417,8 +469,7 @@ def test_schedule_ii_mid_ending_at_k():
     nf = nf_with_chords(8, [(1, 2), (4, 6), (3, 4), (3, 7), (1, 5), (2, 8),
                             (5, 8), (6, 7)])
     assert edge_connectivity_capped(nf.base) == 3
-    sel = _claim_sel(nf, (1, 2), (4, 6), j=2, k=4, l=6)
-    end, steps = _run_schedules(nf, sel)
+    end, steps = _run_schedules(nf, (1, 2), (4, 6), j=2, k=4)
     assert len(steps) == 2 * (4 - 2) - 1
 
 
@@ -427,8 +478,7 @@ def test_schedule_ii_mid_between_k_and_l():
     nf = nf_with_chords(8, [(1, 2), (4, 6), (3, 5), (3, 7), (1, 8), (5, 8),
                             (2, 6), (4, 7)])
     assert edge_connectivity_capped(nf.base) == 3
-    sel = _claim_sel(nf, (1, 2), (4, 6), j=2, k=4, l=6)
-    _run_schedules(nf, sel)
+    _run_schedules(nf, (1, 2), (4, 6), j=2, k=4)
 
 
 def test_descent_with_single_short_chord_odd_gamma():

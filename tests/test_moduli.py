@@ -161,6 +161,14 @@ def test_locus_rejections():
         build_poset(2, 0, "bogus")
 
 
+@pytest.mark.parametrize("locus", ["three_ec", ("preg", None), ("preg", 3),
+                                   ("3ec", None)])
+def test_only_documented_locus_spellings(locus):
+    # all | pure | 3ec | preg:P; no alias and no pre-parsed tuple
+    with pytest.raises(GraphError, match="unknown locus"):
+        build_poset(3, 0, locus)
+
+
 def test_poset_exports():
     po = build_poset(2, 0)
     d = poset_to_json_dict(po)

@@ -47,6 +47,23 @@ def test_normalize_rejects_loops_and_nonhamiltonian():
         normalize(dumbbell_graph())
 
 
+def test_rebased_reads_the_same_cycle_from_any_start():
+    nf = nf_with_chords(7, [(1, 3), (2, 5), (4, 7), (6, 2)])
+    same = nf.rebased(1, 1)
+    assert (same.order, same.cycle_edges, same.chords) == \
+        (nf.order, nf.cycle_edges, nf.chords)
+    for s in range(1, 8):
+        back = nf.rebased(s, -1)
+        assert back.base is nf.base
+        assert list(back.order) == [nf.vertex(s - t) for t in range(7)]
+        for t in range(1, 8):
+            # e_t of the reversed frame joins its positions t and t+1
+            assert back.cycle_edge(t) == nf.edge_between(s - t + 1, s - t)
+        assert back.pos[nf.vertex(s)] == 1
+        assert sorted(key for *_, key in back.chords) == \
+            sorted(key for *_, key in nf.chords)
+
+
 def test_chord_count_is_b_minus_one_exhaustively():
     for p, b in [(3, 2), (3, 3), (3, 4), (4, 3)]:
         for g in p_hamiltonian_classes(p, b):
