@@ -11,7 +11,7 @@ tests check against an independent matrix enumeration.  Restricted to the
 """
 
 from tropilink.atlas import is_connected_adjacency, move_graph
-from tropilink.canonical import canonical_hash
+from tropilink.canonical import form_hash, from_canonical_form
 
 
 def main():
@@ -24,11 +24,12 @@ def main():
         print(f"          {len(three_ec)} 3-edge-connected classes, "
               f"restricted move graph {tag3}")
 
-    classes, adj = move_graph(3, 2)
+    keys, adj = move_graph(3, 2)
     print("\nDOT for the (3,2) move graph:")
-    ids = [canonical_hash(g) for g in classes]
+    ids = [form_hash(k) for k in keys]
     print("graph moves {")
-    for i, g in enumerate(classes):
+    for i, k in enumerate(keys):
+        g = from_canonical_form(k).graph
         loops = sum(1 for e in g.edges if g.is_loop(e))
         name = "dumbbell" if loops else "theta"
         print(f'  n{ids[i]} [label="{name}"];')

@@ -6,8 +6,8 @@ from .graphs import (Graph, WeightedGraph, TropicalCurve, ContractionMap,
                      theta_graph, dumbbell_graph, k4_graph, cycle_graph,
                      petersen_graph, to_json_dict, from_json_dict, to_dot)
 from .canonical import are_isomorphic, canonical_form, isomorphism_witness
-from .connectivity import (Cycle, all_cycles, edge_connectivity_capped,
-                           is_p_regular, longest_cycle)
+from .connectivity import (Cycle, edge_connectivity_capped, is_p_regular,
+                           longest_cycle)
 from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
                           find_partner_short_chord, normalize)
 from .hamiltonize import (hamiltonize, lengthen_cycle_step, remove_loop_step,

@@ -138,9 +138,10 @@ def enumerate_p_regular(p: int, b: int, filter: str = "all",
 
 
 def move_graph(p: int, b: int, filter: str = "all",
-               legs: int = 0) -> tuple[list[Graph], dict[int, set[int]]]:
-    """The classes of `enumerate_p_regular` and their strong-link adjacency
-    by index (self-links ignored).
+               legs: int = 0) -> tuple[list[tuple], dict[int, set[int]]]:
+    """The canonical keys of the classes of `enumerate_p_regular`, in its
+    order, and their strong-link adjacency by index (self-links ignored);
+    `canonical.from_canonical_form(key).graph` is a class's representative.
 
     Two classes are adjacent iff a non-loop contraction of one matches one
     of the other, contracted-vertex images included.  With filter="3ec" the
@@ -152,7 +153,7 @@ def move_graph(p: int, b: int, filter: str = "all",
     index = {k: i for i, k in enumerate(keys)}
     adj = {i: {index[t] for t in targets[k] if t in index and t != k}
            for i, k in enumerate(keys)}
-    return [from_canonical_form(k).graph for k in keys], adj
+    return keys, adj
 
 
 def contraction_closure(graphs) -> dict[tuple, set[tuple]]:

@@ -65,7 +65,10 @@ class StrongLinkFailure:
 
 def strong_link_check(left: Graph, left_edge: int, right: Graph,
                       right_edge: int):
-    """Check a strong link and produce a witnessed step, or a failure."""
+    """Check a strong link and produce a witnessed step, or a failure.
+
+    Contractions equal as labeled graphs, with equal contracted-vertex
+    images, get the identity witness without a canonical search."""
     for g, e, side in ((left, left_edge, "left"), (right, right_edge, "right")):
         if e not in g.edges:
             raise GraphError(f"{side} edge {e} does not exist")
@@ -77,7 +80,12 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
     ml = cm_l.image_vertex(left_edge)
     mr = cm_r.image_vertex(right_edge)
 
-    witness = isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))
+    if mid_l == mid_r and ml == mr:
+        # canonical labeling is deterministic, so this is the search's answer
+        witness = ({v: v for v in mid_l.vertices}, {e: e for e in mid_l.edges},
+                   {h: h for h in mid_l.legs})
+    else:
+        witness = isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))
     if witness is None:
         if are_isomorphic(mid_l, mid_r):
             return StrongLinkFailure(

@@ -17,7 +17,7 @@ import sys
 import traceback
 
 from . import atlas, moduli
-from .canonical import canonical_hash
+from .canonical import form_hash, from_canonical_form
 from .certificates import (certificate_from_json_dict, certificate_to_json_dict,
                            verify_certificate)
 from .connectivity import CycleSearchBudgetExceeded
@@ -78,10 +78,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_movegraph(args) -> int:
-    classes, adj = atlas.move_graph(
+    keys, adj = atlas.move_graph(
         args.p, args.genus, "3ec" if args.three_ec else "all", legs=args.legs
     )
-    ids = [canonical_hash(g) for g in classes]
+    classes = [from_canonical_form(k).graph for k in keys]
+    ids = [form_hash(k) for k in keys]
     if args.format == "json":
         payload = {
             "classes": [

@@ -1,10 +1,11 @@
-"""Valency and connectivity predicates, and exhaustive cycle search.
+"""Valency and connectivity predicates, and the longest-cycle search.
 
 Edge connectivity is computed exactly, capped at 3, from cycle-space labels
 in O(V + E) big-int operations; a brute force over removal sets in the tests
-is its oracle.  Cycle search is a DFS enumeration with canonical-start
-pruning, meant for desk-scale graphs (tens of edges), where exactness beats
-asymptotics.
+is its oracle.  The longest cycle is found by an iterative lex-first DFS
+whose first hit is the answer, so no cycle is enumerated; on a hamiltonian
+graph one pass from the least vertex decides.  The exhaustive enumeration
+it replaces is its oracle in the tests.
 
 Cycles are 2-regular subgraphs, so in a multigraph a single loop is a valid
 cycle of length 1 and a pair of parallel edges a valid cycle of length 2.
@@ -16,10 +17,10 @@ from .graphs import Graph, GraphError
 
 
 class CycleSearchBudgetExceeded(RuntimeError):
-    """The cycle DFS hit its node budget; results would be incomplete."""
+    """The cycle DFS hit its node budget before it could decide."""
 
 
-CYCLE_SEARCH_BUDGET = 2_000_000  # DFS steps a cycle search may take by default
+CYCLE_SEARCH_BUDGET = 2_000_000  # DFS nodes a cycle search may visit by default
 
 
 class Cycle:
@@ -48,22 +49,6 @@ class Cycle:
     @property
     def length(self) -> int:
         return len(self.vertices)
-
-    @property
-    def edge_set(self) -> frozenset:
-        return frozenset(self.edge_keys)
-
-    def canonical_vertices(self) -> tuple[int, ...]:
-        """Least vertex tuple over all rotations and the two directions."""
-        best = None
-        vs = self.vertices
-        k = len(vs)
-        for seq in (vs, vs[::-1]):
-            for r in range(k):
-                cand = seq[r:] + seq[:r]
-                if best is None or cand < best:
-                    best = cand
-        return best
 
     def __repr__(self):
         return f"Cycle(len={self.length}, vertices={self.vertices})"
@@ -130,65 +115,123 @@ def edge_connectivity_capped(g: Graph) -> int:
     return 3
 
 
-def all_cycles(g: Graph, budget: int | None = None) -> list[Cycle]:
-    """Every cycle of g, each exactly once.
-
-    Raises CycleSearchBudgetExceeded instead of silently truncating; the
-    budget defaults to CYCLE_SEARCH_BUDGET.
-    """
-    if budget is None:
-        budget = CYCLE_SEARCH_BUDGET
-    cycles: list[Cycle] = []
-    steps = 0
-
-    for e in g.edges:
-        if g.is_loop(e):
-            cycles.append(Cycle(g, (g.edge_ends(e)[0],), (e,)))
-
-    nonloop_at: dict[int, list[tuple[int, int]]] = {v: [] for v in g.vertices}
-    for e in sorted(g.edges):
-        if not g.is_loop(e):
-            a, b = g.edge_ends(e)
-            nonloop_at[a].append((e, b))
-            nonloop_at[b].append((e, a))
-
-    def extend(start, v, path_v, path_e, on_path):
-        nonlocal steps
-        for e, u in nonloop_at[v]:
-            steps += 1
-            if steps > budget:
-                raise CycleSearchBudgetExceeded(f"budget {budget} exhausted")
-            if e in path_e:
-                continue
-            if u == start:
-                if len(path_e) >= 1 and path_e[0] < e:
-                    cycles.append(Cycle(g, tuple(path_v), tuple(path_e) + (e,)))
-                continue
-            if u < start or u in on_path:
-                continue
-            path_v.append(u)
-            path_e.append(e)
-            on_path.add(u)
-            extend(start, u, path_v, path_e, on_path)
-            path_v.pop()
-            path_e.pop()
-            on_path.remove(u)
-
-    for s in g.vertices:
-        extend(s, s, [s], [], {s})
-    return cycles
+def _blocks(adj: dict[int, list[int]]) -> list[set[int]]:
+    """Vertex sets of the biconnected blocks of a connected simple graph
+    (Hopcroft-Tarjan lowpoints, iterative; bridges are two-vertex blocks)."""
+    root = next(iter(adj))
+    depth, low = {root: 0}, {root: 0}
+    visited, blocks = [root], []
+    stack = [(root, None, iter(adj[root]))]
+    while stack:
+        v, parent, rest = stack[-1]
+        for u in rest:
+            if u not in depth:
+                depth[u] = low[u] = depth[v] + 1
+                visited.append(u)
+                stack.append((u, v, iter(adj[u])))
+                break
+            if u != parent:
+                low[v] = min(low[v], depth[u])
+        else:
+            stack.pop()
+            if parent is not None:
+                low[parent] = min(low[parent], low[v])
+                if low[v] >= depth[parent]:
+                    i = visited.index(v)
+                    blocks.append({parent, *visited[i:]})
+                    del visited[i:]
+    return blocks
 
 
 def longest_cycle(g: Graph, budget: int | None = None) -> Cycle | None:
     """A maximum-length cycle, or None if g has none.
 
-    Ties are broken by the lexicographically least canonical vertex
-    sequence, so the result is deterministic.
+    Ties go to the least (-length, canonical vertex sequence, edge keys); a
+    cycle is read from its least vertex, in the direction whose first edge
+    key is below its closing key, with the least key of each parallel group.
+    For L = n, n-1, ..., 3 and s ascending, a DFS over the vertices above s
+    in s's blocks of size >= L tries neighbours in ascending order and
+    closes only when the second vertex is below the last, so its first hit
+    is the lex-least canonical sequence.  A vertex with fewer than two free
+    neighbours left is never used; no other subtree is cut.  Raises
+    CycleSearchBudgetExceeded after `budget` DFS nodes (CYCLE_SEARCH_BUDGET,
+    read at call time, when None).
     """
-    best = None
-    best_key = None
-    for c in all_cycles(g, budget):
-        key = (-c.length, c.canonical_vertices(), c.edge_keys)
-        if best_key is None or key < best_key:
-            best, best_key = c, key
-    return best
+    if budget is None:
+        budget = CYCLE_SEARCH_BUDGET
+    keys: dict[tuple[int, int], list[int]] = {}
+    for e in g.edges:
+        keys.setdefault(g.edge_ends(e), []).append(e)
+    adj: dict[int, list[int]] = {v: [] for v in g.vertices}
+    for a, b in sorted(keys):
+        if a != b:
+            adj[a].append(b)
+            adj[b].append(a)
+    nodes = 0
+
+    def search(s: int, length: int, allowed: set[int]):
+        """Lex-least (s, c_1, ..., c_{length-1}) over `allowed`, or None."""
+        nonlocal nodes
+        # free[w]: neighbours of w that are s, the path's end or unvisited;
+        # usable: unvisited vertices with two free neighbours
+        free = {w: sum(u in allowed or u == s for u in adj[w]) for w in allowed}
+        usable = sum(f >= 2 for f in free.values())
+        path, on_path, stack = [s], {s}, [iter(adj[s])]
+
+        def move(u: int, d: int):
+            """Append u to the path (d = -1) or take it off (d = 1); the
+            end before u is interior while u is on, so not free."""
+            nonlocal usable
+            if d < 0:
+                path.append(u)
+                on_path.add(u)
+            for w in adj[path[-2]] if path[-2] != s else ():
+                if w in free:
+                    free[w] += d
+                    if w not in on_path and free[w] == (1 if d < 0 else 2):
+                        usable += d
+            if d > 0:
+                on_path.remove(path.pop())
+            usable += d
+
+        while stack:
+            for u in stack[-1]:
+                if u not in allowed or u in on_path:
+                    continue
+                nodes += 1
+                if nodes > budget:
+                    raise CycleSearchBudgetExceeded(f"budget {budget} exhausted")
+                if len(path) == length - 1:
+                    if u > path[1] and s in adj[u]:
+                        return path + [u]
+                elif free[u] >= 2:
+                    move(u, -1)
+                    if usable >= length - len(path):
+                        stack.append(iter(adj[u]))
+                        break
+                    move(u, 1)
+            else:
+                stack.pop()
+                if len(path) > 1:
+                    move(path[-1], 1)
+        return None
+
+    blocks = _blocks(adj)
+    for length in range(max(map(len, blocks), default=0), 2, -1):
+        for s in g.vertices:
+            allowed = {w for blk in blocks if len(blk) >= length and s in blk
+                       for w in blk if w > s}
+            if len(allowed) < length - 1:
+                continue
+            found = search(s, length, allowed)
+            if found:
+                ring = [keys[(a, b) if a < b else (b, a)][0]
+                        for a, b in zip(found, found[1:] + found[:1])]
+                if ring[0] > ring[-1]:
+                    found, ring = found[:1] + found[:0:-1], ring[::-1]
+                return Cycle(g, found, ring)
+    pairs = [pair for pair, ks in keys.items() if pair[0] != pair[1] and len(ks) > 1]
+    loops = [pair for pair in keys if pair[0] == pair[1]]
+    if pairs:
+        return Cycle(g, min(pairs), keys[min(pairs)][:2])
+    return Cycle(g, min(loops)[:1], keys[min(loops)][:1]) if loops else None

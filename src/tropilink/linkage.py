@@ -94,13 +94,9 @@ def _resolve_chord(nf: NormalizedForm, chord) -> tuple[int, int, int]:
     return hits[0]
 
 
-def twist(nf: NormalizedForm, chord_a, chord_b, swap) -> Graph:
-    """Swap one endpoint pair between two chords.
-
-    swap = (position from chord_a, position from chord_b).  The result keeps
-    the hamiltonian cycle, so the same frame normalizes it; a swap that
-    would close a chord into a loop is rejected.
-    """
+def _twist_args(nf: NormalizedForm, chord_a, chord_b, swap):
+    """Check the arguments of a twist; return (key_a, key_b, pa, pb, keep_a,
+    keep_b), where keep_x is the position of chord x's end that stays."""
     ia, ja, ka = _resolve_chord(nf, chord_a)
     ib, jb, kb = _resolve_chord(nf, chord_b)
     if ka == kb:
@@ -112,6 +108,17 @@ def twist(nf: NormalizedForm, chord_a, chord_b, swap) -> Graph:
     keep_b = ib + jb - pb
     if keep_a == pb or keep_b == pa:
         raise GraphError("twist would create a loop")
+    return ka, kb, pa, pb, keep_a, keep_b
+
+
+def twist(nf: NormalizedForm, chord_a, chord_b, swap) -> Graph:
+    """Swap one endpoint pair between two chords.
+
+    swap = (position from chord_a, position from chord_b).  The result keeps
+    the hamiltonian cycle, so the same frame normalizes it; a swap that
+    would close a chord into a loop is rejected.
+    """
+    ka, kb, pa, pb, _, _ = _twist_args(nf, chord_a, chord_b, swap)
     return _swap_halves(nf.base, ka, nf.vertex(pa), kb, nf.vertex(pb))
 
 
@@ -185,15 +192,12 @@ def factor_twist(nf: NormalizedForm, chord_a, chord_b, swap) -> list[StrongLinkS
 
     The walk direction is chosen so no fixed chord end lies strictly between
     the swapped ends; a configuration blocked in both directions is not
-    factored here (the descent never produces one).
+    factored here (the descent never produces one).  Arguments `twist`
+    rejects are rejected alike.
     """
-    ia, ja, ka = _resolve_chord(nf, chord_a)
-    ib, jb, kb = _resolve_chord(nf, chord_b)
-    pa, pb = swap
+    ka, kb, pa, pb, keep_a, keep_b = _twist_args(nf, chord_a, chord_b, swap)
     if pa == pb:
         raise GraphError("endpoints to swap sit at the same position")
-    keep_a = ia + ja - pa
-    keep_b = ib + jb - pb
     gamma = nf.gamma
 
     options = []
@@ -364,7 +368,11 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
         if epsilon_trace is not None:
             epsilon_trace.append(eps)
 
-    if not are_isomorphic(nf.base, build_polygon(p, nf.gamma)):
+    # the frame maps v_t to vertex t - 1 of the polygon
+    polygon = build_polygon(p, nf.gamma)
+    ends = sorted(tuple(sorted(nf.pos[v] - 1 for v in nf.base.edge_ends(e)))
+                  for e in nf.base.edges)
+    if nf.base.legs or ends != sorted(map(polygon.edge_ends, polygon.edges)):
         raise InternalConsistencyError("descent ended away from the p-polygon")
     return _assemble(g, steps, mode, p)
 

@@ -1,30 +1,21 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from tropilink.connectivity import (Cycle, CycleSearchBudgetExceeded, all_cycles,
+from tropilink.atlas import enumerate_p_regular
+from tropilink.connectivity import (Cycle, CycleSearchBudgetExceeded,
                                     edge_connectivity_capped, is_p_regular,
                                     longest_cycle)
-from tropilink.graphs import (GraphError, build_graph, cycle_graph,
+from tropilink.graphs import (GraphError, build_graph, contract, cycle_graph,
                               dumbbell_graph, k4_graph, petersen_graph,
                               theta_graph)
 from tropilink.normal_form import build_polygon
 
-from conftest import is_hamiltonian
-
-
-def two_cycle_criterion(g, budget=None) -> bool:
-    """Oracle: every edge lies in two cycles meeting only in that edge.
-
-    Sufficient for 3-edge-connectivity.  A loop lies in a single cycle, so
-    any loop makes the criterion fail.
-    """
-    by_edge = {e: [] for e in g.edges}
-    for c in all_cycles(g, budget):
-        for e in c.edge_keys:
-            by_edge[e].append(c.edge_set)
-    return all(any(s1 & s2 == {e} for s1, s2 in itertools.combinations(sets, 2))
-               for e, sets in by_edge.items())
+from conftest import is_hamiltonian, random_connected_multigraph
+from cycle_oracle import (all_cycles, canonical_vertices, two_cycle_criterion,
+                          longest_cycle as oracle_longest_cycle)
 
 
 def test_regularity():
@@ -67,8 +58,6 @@ def test_two_cycle_criterion_cases():
 
 
 def test_two_cycle_criterion_implies_3ec_exhaustively():
-    from tropilink.atlas import enumerate_p_regular
-
     for b in (2, 3, 4):
         for g in enumerate_p_regular(3, b):
             if two_cycle_criterion(g):
@@ -76,9 +65,6 @@ def test_two_cycle_criterion_implies_3ec_exhaustively():
 
 
 def test_contraction_preserves_3ec_exhaustively():
-    from tropilink.atlas import enumerate_p_regular
-    from tropilink.graphs import contract
-
     for b in (2, 3):
         for g in enumerate_p_regular(3, b, "3ec"):
             for r in range(1, len(g.edges) + 1):
@@ -146,7 +132,7 @@ def test_longest_cycle_deterministic_tiebreak():
     c1 = longest_cycle(k)
     c2 = longest_cycle(k4_graph())
     assert c1.vertices == c2.vertices and c1.edge_keys == c2.edge_keys
-    assert c1.canonical_vertices()[0] == min(k.vertices)
+    assert canonical_vertices(c1)[0] == min(k.vertices)
 
 
 def test_cycle_validation():
@@ -158,5 +144,55 @@ def test_cycle_validation():
 
 
 def test_budget_errors_out():
-    with pytest.raises(CycleSearchBudgetExceeded):
-        all_cycles(petersen_graph(), budget=10)
+    with pytest.raises(CycleSearchBudgetExceeded, match="budget 10 exhausted"):
+        longest_cycle(petersen_graph(), budget=10)
+
+
+# -- the lex-first search against the exhaustive oracle ------------------------
+
+
+def _same(found, want):
+    if want is None:
+        return found is None
+    return (found is not None and found.vertices == want.vertices
+            and found.edge_keys == want.edge_keys)
+
+
+def test_longest_cycle_matches_oracle_exhaustively():
+    # every class and every one-edge contraction of it, which brings in
+    # loops, parallel pairs and graphs without a hamiltonian cycle
+    kinds = set()
+    for p, b in ((3, 2), (3, 3), (3, 4), (3, 5), (4, 3), (4, 4), (5, 4)):
+        for g in enumerate_p_regular(p, b):
+            for h in [g] + [contract(g, {e})[0] for e in g.edges
+                            if not g.is_loop(e)]:
+                want = oracle_longest_cycle(h)
+                assert _same(longest_cycle(h), want), (p, b, h)
+                kinds.add(want.length == len(h.vertices))      # hamiltonian
+                kinds.add(f"length {min(want.length, 3)}")
+    assert kinds == {True, False, "length 1", "length 2", "length 3"}
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 10), st.integers(0, 2))
+def test_longest_cycle_matches_oracle_by_hypothesis(seed, extra, legs):
+    g = random_connected_multigraph(random.Random(seed), max_vertices=10,
+                                    max_extra=extra, legs=legs)
+    assert _same(longest_cycle(g), oracle_longest_cycle(g))
+
+
+def test_longest_cycle_long_ring_without_recursion():
+    # the recursive enumeration it replaces overflowed the stack here
+    c = longest_cycle(cycle_graph(1200))
+    assert c.length == 1200
+    assert c.vertices == tuple(range(1200))
+
+
+def test_longest_cycle_stays_inside_blocks():
+    # Petersen bridged to the 30-polygon: a search from Petersen's vertices
+    # that crossed the bridge would walk the polygon's long paths in vain
+    p, q = petersen_graph(), build_polygon(3, 30)
+    edges = [p.edge_ends(e) for e in p.edges] + [(0, 10)]
+    edges += [(a + 10, b + 10) for a, b in map(q.edge_ends, q.edges)]
+    c = longest_cycle(build_graph(edges), budget=10_000)
+    assert c.length == 30 and min(c.vertices) == 10

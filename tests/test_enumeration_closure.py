@@ -97,7 +97,8 @@ def test_representatives_do_not_depend_on_labeling():
 @pytest.mark.parametrize("filt", ["all", "3ec"])
 @pytest.mark.parametrize("p, b, legs", MOVE_GRAPH_POINTS)
 def test_move_graph_matches_pairwise_oracle(p, b, legs, filt):
-    classes, adj = move_graph(p, b, filt, legs=legs)
+    keys, adj = move_graph(p, b, filt, legs=legs)
+    classes = [from_canonical_form(k).graph for k in keys]
     assert [to_json_dict(g) for g in classes] == \
         [to_json_dict(g) for g in enumerate_p_regular(p, b, filt, legs=legs)]
     assert adj == oracle.move_graph(classes, three_ec_middles=filt == "3ec")

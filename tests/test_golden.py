@@ -34,9 +34,11 @@ import pytest
 from tropilink.certificates import (LinkageCertificate,
                                     certificate_to_json_dict)
 from tropilink.connectivity import edge_connectivity_capped
-from tropilink.graphs import (GraphError, build_graph, dumps_canonical,
-                              petersen_graph)
-from tropilink.linkage import factor_twist, link, twist_3ec
+from tropilink.canonical import isomorphism_witness
+from tropilink.graphs import (GraphError, build_graph, contract,
+                              dumps_canonical, petersen_graph)
+from tropilink.hamiltonize import hamiltonize
+from tropilink.linkage import factor_twist, link, reduce_to_polygon, twist_3ec
 from tropilink.normal_form import NormalizedForm, build_polygon, normalize
 
 from conftest import is_hamiltonian
@@ -127,6 +129,35 @@ def test_link_certificates_match_golden_digest(corpus, group):
     pairs, mode = corpus[group]
     got = _digest(link(a, b, mode) for a, b in pairs)
     assert got == GOLDEN[group], f"{group}: certificate bytes changed"
+
+
+def _identity_witness(step):
+    """True when strong_link_check could skip the canonical search: both
+    contractions and their contracted-vertex images are equal.  The step's
+    witness must then be the one the search gives."""
+    mid_l, cm_l = contract(step.left, {step.left_edge})
+    mid_r, cm_r = contract(step.right, {step.right_edge})
+    ml = cm_l.image_vertex(step.left_edge)
+    mr = cm_r.image_vertex(step.right_edge)
+    if mid_l != mid_r or ml != mr:
+        return False
+    assert step.witness == isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))
+    return True
+
+
+def test_identity_witnesses_are_the_searched_ones(corpus):
+    fired = total = swaps = swap_fired = 0
+    for pairs, mode in corpus.values():
+        for a, b in pairs:
+            for step in link(a, b, mode).steps:
+                total += 1
+                fired += _identity_witness(step)
+            h, _, cycle = hamiltonize(a, mode)
+            for step in reduce_to_polygon(h, mode, cycle).steps:
+                swaps += 1
+                swap_fired += _identity_witness(step)
+    assert 0 < fired < total
+    assert swaps > 100 and swap_fired == swaps  # every consecutive swap
 
 
 def _legged_pairs():

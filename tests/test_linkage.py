@@ -142,6 +142,22 @@ def test_factor_twist_rejects_what_it_cannot_walk(chord_a, chord_b, swap):
         factor_twist(nf, chord_a, chord_b, swap)
 
 
+def test_factor_twist_rejects_a_chord_with_itself():
+    nf = nf_with_chords(6, [(1, 3), (2, 5), (4, 6)])
+    for fn in (twist, factor_twist):
+        with pytest.raises(GraphError, match="with itself"):
+            fn(nf, (1, 3), (1, 3), (1, 3))
+
+
+def test_factor_twist_rejects_a_swap_off_the_chords():
+    h, _, cycle = hamiltonize(petersen_graph())
+    nf = normalize(h, cycle)
+    assert {(1, 5), (2, 7)} <= set(nf.chord_positions())
+    for fn in (twist, factor_twist):
+        with pytest.raises(GraphError, match="does not name ends"):
+            fn(nf, (1, 5), (2, 7), (1, 4))  # 4 is no end of (2, 7)
+
+
 def test_factor_matches_twist_on_random_claim_pairs(rng):
     cases = 0
     for g in p_hamiltonian_classes(3, 4):
@@ -226,10 +242,20 @@ def test_twist_3ec_preserves_3ec_exhaustively():
 
 
 def test_reduce_polygon_is_empty():
-    for p, gamma in [(3, 4), (3, 6), (4, 6)]:
+    for p, gamma in [(3, 4), (3, 6), (4, 6), (3, 32)]:
         cert = reduce_to_polygon(build_polygon(p, gamma))
         assert cert.steps == []
         assert verify_certificate(cert).valid
+
+
+@pytest.mark.parametrize("n", [32, 40, 60])
+def test_link_simple_cubic_beyond_30_vertices(n):
+    # 32 vertices used to exhaust the cycle-search budget
+    rng = random.Random(f"cubic:{n}")
+    g1, g2 = _random_cubic(rng, n, True), _random_cubic(rng, n, True)
+    cert = link(g1, g2)
+    assert cert.steps
+    assert verify_certificate(cert, endpoints=(g1, g2)).valid
 
 
 def test_reduce_exhaustive_3_3_plain_and_3ec():
