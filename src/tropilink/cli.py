@@ -4,9 +4,10 @@ Subcommands: link, verify, enumerate, movegraph, polygon, poset,
 check-codim1.  All output is deterministic for fixed inputs; graphs and
 certificates use the JSON schemas of graphs.py and certificates.py.
 Errors surface as a JSON object on stdout and a nonzero exit status: 2 for
-malformed input, 3 when a resource limit (the cycle-search budget) is hit,
-4 for an internal error (a failed consistency check or any other
-exception), whose traceback goes to stderr.
+malformed input, an unreadable input file or an unwritable output file, 3
+when a resource limit (the cycle-search budget) is hit, 4 for an internal
+error (a failed consistency check or any other exception), whose traceback
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ def _load_graph(path: str):
 
 def _emit(text: str, out: str | None):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise GraphError(f"cannot write output file {out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 

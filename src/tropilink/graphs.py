@@ -20,6 +20,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -607,8 +610,103 @@ def from_json_dict(d: dict):
 
 
 def dumps_canonical(d) -> str:
-    """Serialize a JSON value with a fixed layout so round trips are byte-identical."""
-    return json.dumps(d, indent=2, sort_keys=True) + "\n"
+    """Serialize a JSON value with a fixed layout so round trips are byte-identical.
+
+    The layout is `json.dumps(d, indent=2, sort_keys=True) + "\\n"`: a
+    two-space indent, keys sorted by their value before they are
+    stringified, non-ASCII characters as `\\u` escapes, and a trailing
+    newline.  json's pure-Python encoder, which it runs for an indent, is
+    slow on certificates, so `_write_json` writes the same bytes directly;
+    `tests/test_canonical_json.py` pins it to that one-liner.  As in json,
+    mixed-type keys and values that are not JSON raise TypeError (a circular
+    container, not a JSON value either, raises RecursionError).
+    """
+    out = []
+    _write_json(d, "", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+# One C encoder for the scalars the fast paths leave: strings, floats
+# (NaN and the infinities included), booleans and null.
+_encode_scalar = json.JSONEncoder(sort_keys=True).encode
+
+
+def _json_key(k) -> str:
+    """A dict key as json writes it: a string, or a number, boolean or null
+    stringified and then quoted."""
+    if isinstance(k, str):
+        return encode_basestring_ascii(k)
+    if isinstance(k, (int, float)) or k is None:
+        return encode_basestring_ascii(_encode_scalar(k))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _int_rows(v, ind: str):
+    """The texts, at indent ind, of the items of a plain list of plain dicts
+    that share one set of two or more str keys and hold int values only, as
+    a graph's vertices and half-edges do; None for any other v.  One
+    %-template formats them all."""
+    if type(v) is not list or set(map(type, v)) != {dict}:
+        return None
+    shape = v[0].keys()
+    if (len(shape) < 2 or set(map(type, shape)) != {str}
+            or not all(map(shape.__eq__, map(dict.keys, v)))):
+        return None
+    order = sorted(shape)
+    rows = list(map(itemgetter(*order), v))
+    if set(map(type, chain.from_iterable(rows))) != {int}:
+        return None
+    inner = ind + "  "
+    fields = (",\n" + inner).join(
+        encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in order)
+    return map(f"{{\n{inner}{fields}\n{ind}}}".__mod__, rows)
+
+
+def _write_json(v, ind: str, out: list, keys: dict):
+    """Append the text of v at indent ind to out; keys memoizes the encoded
+    str keys of one document."""
+    if isinstance(v, dict):
+        if not v:
+            out.append("{}")
+            return
+        inner = ind + "  "
+        sep = "{\n" + inner
+        for k, x in sorted(v.items()):
+            ek = keys.get(k) if type(k) is str else None
+            if ek is None:
+                ek = _json_key(k)
+                if type(k) is str:
+                    keys[k] = ek
+            if type(x) is int:
+                out.append(f"{sep}{ek}: {x}")
+            else:
+                out.append(f"{sep}{ek}: ")
+                _write_json(x, inner, out, keys)
+            sep = ",\n" + inner
+        out.append("\n" + ind + "}")
+    elif isinstance(v, (list, tuple)):
+        if not v:
+            out.append("[]")
+            return
+        inner = ind + "  "
+        sep = ",\n" + inner
+        items = map(int.__repr__, v) if all(type(x) is int for x in v) \
+            else _int_rows(v, inner)
+        if items is not None:
+            out.append(f"[\n{inner}{sep.join(items)}\n{ind}]")
+            return
+        out.append("[\n" + inner)
+        for i, x in enumerate(v):
+            if i:
+                out.append(sep)
+            _write_json(x, inner, out, keys)
+        out.append("\n" + ind + "]")
+    elif type(v) is int:
+        out.append(int.__repr__(v))
+    else:
+        out.append(_encode_scalar(v))
 
 
 def underlying_graph(obj) -> Graph:

@@ -82,6 +82,28 @@ def test_link_legged_3ec_exits_2(tmp_path, capsys):
     assert json.loads(out.read_text())["mode"] == "plain"
 
 
+@pytest.mark.parametrize("argv", [
+    ["link", "{theta}", "{dumbbell}"],
+    ["enumerate", "--p", "3", "--genus", "2"],
+    ["poset", "--genus", "2"],
+    ["polygon", "--p", "3", "--gamma", "4"],
+], ids=["link", "enumerate", "poset", "polygon"])
+@pytest.mark.parametrize("where", ["missing_dir", "directory"])
+def test_unwritable_output_exits_2(tmp_path, capsys, argv, where):
+    """An output file that cannot be opened is reported like an unreadable
+    input: exit 2, a JSON error and no traceback."""
+    write_graph(tmp_path / "theta.json", theta_graph())
+    write_graph(tmp_path / "dumbbell.json", dumbbell_graph())
+    out = str(tmp_path / "no_such_dir" / "x.json") if where == "missing_dir" \
+        else str(tmp_path)
+    argv = [a.format(theta=tmp_path / "theta.json",
+                     dumbbell=tmp_path / "dumbbell.json") for a in argv]
+    assert cli.main(argv + ["-o", out]) == 2
+    stdout, stderr = capsys.readouterr()
+    assert json.loads(stdout)["error"].startswith(f"cannot write output file {out}: ")
+    assert "Traceback" not in stderr
+
+
 def test_verify_rejects_corruption(tmp_path):
     write_graph(tmp_path / "theta.json", theta_graph())
     write_graph(tmp_path / "dumbbell.json", dumbbell_graph())

@@ -1,0 +1,117 @@
+"""The verifier is total on mutated certificates.
+
+One field of a valid certificate's JSON (at any depth) is replaced by a
+value from a fixed pool, or deleted, and `tropilink verify` is run on the
+result in-process.  Whatever the mutation, the exit code is 0 (valid), 1
+(invalid) or 2 (malformed), never 4 or an escaped exception, and stdout is
+one JSON object.  A mutation that still verifies must describe the same
+chain: graphs pairwise isomorphic to the original's.  The certificates are
+those of acceptance criteria 1 (plain), 3 (Petersen to P10, 3ec) and 6
+(legged).
+"""
+
+import contextlib
+import copy
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from tropilink import cli
+from tropilink.atlas import enumerate_p_regular
+from tropilink.canonical import are_isomorphic
+from tropilink.certificates import (certificate_from_json_dict,
+                                    certificate_to_json_dict)
+from tropilink.graphs import petersen_graph
+from tropilink.linkage import link
+from tropilink.normal_form import build_polygon
+
+DELETE = object()
+POOL = [None, True, False, 0, 1, -1, 2, 3, 10 ** 6, 1.5, -0.0, "", "x", "3",
+        "plain", "3ec", "labeled", [], [0], [0, 1], {}, {"x": 0}, {"0": 0},
+        DELETE]
+
+
+def _certificates():
+    plain = enumerate_p_regular(3, 3)
+    legged = enumerate_p_regular(3, 2, legs=2)
+    return [
+        link(plain[0], plain[-1]),                                 # criterion 1
+        link(petersen_graph(), build_polygon(3, 10), "3ec"),       # criterion 3
+        link(legged[0], legged[-1]),                               # criterion 6
+    ]
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz"), [
+        (cert, certificate_to_json_dict(cert)) for cert in _certificates()]
+
+
+def _paths_by_depth(doc) -> dict:
+    """{depth: [path, ...]} over every field of doc (dict values and list
+    items, at any depth)."""
+    by_depth, todo = {}, [((), doc)]
+    while todo:
+        path, node = todo.pop()
+        keys = sorted(node) if isinstance(node, dict) else \
+            range(len(node)) if isinstance(node, list) else ()
+        for key in keys:
+            by_depth.setdefault(len(path) + 1, []).append(path + (key,))
+            todo.append((path + (key,), node[key]))
+    return by_depth
+
+
+@st.composite
+def mutations(draw, fields):
+    """(certificate index, path to a field, replacement or DELETE), where
+    fields[i] is _paths_by_depth of certificate i.  The depth is drawn
+    first, so top-level fields and deep ones are hit alike."""
+    i = draw(st.integers(0, len(fields) - 1))
+    depth = draw(st.sampled_from(sorted(fields[i])))
+    return i, draw(st.sampled_from(fields[i][depth])), draw(st.sampled_from(POOL))
+
+
+def _mutated(doc, path, value):
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
+    workdir, certs = originals
+    docs = [d for _, d in certs]
+    for cert, doc in certs:
+        assert cli.main(["verify", _write(workdir, doc)]) == 0
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(mutations([_paths_by_depth(doc) for doc in docs]))
+    def check(mutation):
+        i, path, value = mutation
+        doc = _mutated(docs[i], path, value)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", _write(workdir, doc)])
+        assert rc in (0, 1, 2), err.getvalue()
+        report = json.loads(out.getvalue())
+        assert isinstance(report, dict)
+        if rc == 0:
+            graphs = certificate_from_json_dict(doc).graphs
+            original = certs[i][0].graphs
+            assert len(graphs) == len(original)
+            assert all(are_isomorphic(a, b) for a, b in zip(graphs, original))
+
+    check()
+
+
+def _write(workdir, doc) -> str:
+    path = workdir / "cert.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
