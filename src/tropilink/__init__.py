@@ -1,15 +1,15 @@
 """Certified linkage of p-regular multigraphs and tropical moduli strata."""
 
-from .graphs import (Graph, WeightedGraph, TropicalCurve, ContractionMap,
-                     GraphError, InternalConsistencyError, build_graph,
-                     contract, weighted_contract, genus, stabilize,
-                     theta_graph, dumbbell_graph, k4_graph, cycle_graph,
-                     petersen_graph, to_json_dict, from_json_dict, to_dot)
+from .graphs import (Graph, WeightedGraph, ContractionMap, GraphError,
+                     InternalConsistencyError, build_graph, contract,
+                     weighted_contract, genus, theta_graph, dumbbell_graph,
+                     k4_graph, cycle_graph, petersen_graph, to_json_dict,
+                     from_json_dict, to_dot)
 from .canonical import are_isomorphic, canonical_form, isomorphism_witness
 from .connectivity import (Cycle, edge_connectivity_capped, is_p_regular,
                            longest_cycle)
 from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
-                          find_partner_short_chord, normalize)
+                          normalize)
 from .hamiltonize import (hamiltonize, lengthen_cycle_step, remove_loop_step,
                           valency_reducing_extension)
 from .certificates import (LinkageCertificate, StrongLinkStep, strong_link_check,

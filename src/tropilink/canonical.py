@@ -14,15 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, GraphError, WeightedGraph, build_graph
-
-
-def _as_weighted(obj) -> WeightedGraph:
-    if isinstance(obj, WeightedGraph):
-        return obj
-    if isinstance(obj, Graph):
-        return WeightedGraph(obj)
-    raise GraphError(f"expected a graph, got {type(obj).__name__}")
+from .graphs import Graph, GraphError, WeightedGraph, _as_weighted, build_graph
 
 
 class _Canonizer:
@@ -175,11 +167,6 @@ def from_canonical_form(form: tuple) -> WeightedGraph:
     return build_graph(edges, legs=[(i, label) for label, i in legs],
                        weights={i: c[0] for i, c in enumerate(colors)},
                        isolated=range(len(rows)))
-
-
-def canonical_hash(obj) -> str:
-    """Short stable hex id of the canonical form (used for DOT node names)."""
-    return form_hash(canonical_form(obj))
 
 
 def form_hash(form: tuple) -> str:

@@ -1,4 +1,4 @@
-"""Half-edge multigraphs with legs, weights and lengths.
+"""Half-edge multigraphs with legs and vertex weights: combinatorial types.
 
 A graph is stored as a finite set of vertex ids, a finite set of half-edge
 ids, an involution pairing half-edges into edges (its fixed points are the
@@ -18,8 +18,6 @@ objects.
 from __future__ import annotations
 
 import json
-import math
-import re
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -119,9 +117,6 @@ class Graph:
 
     def valency(self, v: int) -> int:
         return len(self._at_vertex[v])
-
-    def loops_at(self, v: int) -> int:
-        return sum(1 for e in self.edges if self.edge_ends(e) == (v, v))
 
     def legs_at(self, v: int) -> tuple[int, ...]:
         return tuple(h for h in self._at_vertex[v] if self.involution[h] == h)
@@ -242,40 +237,14 @@ class WeightedGraph:
         return f"WeightedGraph({self.graph!r}, total_weight={self.total_weight})"
 
 
-class TropicalCurve:
-    """Weighted graph with positive (possibly infinite) edge and leg lengths.
-
-    A length is +inf exactly on the legs and on the edges adjacent to a
-    1-valent vertex of weight 0.
-    """
-
-    __slots__ = ("wgraph", "length")
-
-    def __init__(self, wgraph: WeightedGraph, length: Mapping[int, float]):
-        g = wgraph.graph
-        keys = set(g.edges) | set(g.legs)
-        ln = {k: float(x) for k, x in length.items()}
-        if set(ln) != keys:
-            raise GraphError("lengths must cover exactly the edges and legs")
-        for k, x in ln.items():
-            if not x > 0:
-                raise GraphError("lengths must be positive")
-            if k in g.legs:
-                must_inf = True
-            else:
-                must_inf = any(
-                    g.valency(v) == 1 and wgraph.weight[v] == 0
-                    for v in g.edge_ends(k)
-                )
-            if must_inf != math.isinf(x):
-                raise GraphError(
-                    f"length of {k} must be {'infinite' if must_inf else 'finite'}"
-                )
-        self.wgraph = wgraph
-        self.length = ln
-
-    def __repr__(self):
-        return f"TropicalCurve({self.wgraph!r})"
+def _as_weighted(obj) -> WeightedGraph:
+    """obj itself when it is a WeightedGraph, a Graph with weight 0 on every
+    vertex, else GraphError."""
+    if isinstance(obj, WeightedGraph):
+        return obj
+    if isinstance(obj, Graph):
+        return WeightedGraph(obj)
+    raise GraphError(f"expected a graph, got {type(obj).__name__}")
 
 
 def genus(wg: WeightedGraph | Graph) -> int:
@@ -418,17 +387,6 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
     return target, ContractionMap(g, S, vmap)
 
 
-def b1_of_edge_subset(g: Graph, S: Iterable[int]) -> int:
-    """First Betti number of the subgraph (V(g), S), summed over components.
-
-    Equals sum over target vertices of b1 of their preimage component when S
-    is the contracted set.
-    """
-    S = list(S)
-    roots = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
-    return len(S) - len(g.vertices) + len(set(roots.values()))
-
-
 def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
     """Contract S and fold the collapsed Betti number into the weights."""
     S = frozenset(S)
@@ -449,93 +407,14 @@ def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> tuple[WeightedGrap
     return WeightedGraph(target, w), cmap
 
 
-# -- stabilization ------------------------------------------------------------
-
-
-def stabilize(tc: TropicalCurve) -> TropicalCurve:
-    """Unique stable representative of the tropical equivalence class.
-
-    Removes 1-valent weight-0 vertices together with their edge, and smooths
-    2-valent weight-0 vertices by merging the two incident edges into one
-    edge whose length is the sum.  Idempotent.
-    """
-    wg = tc.wgraph
-    g = wg.graph
-    n = len(g.legs)
-    if 2 * genus(wg) - 2 + n <= 0:
-        raise GraphError("no stable representative: 2g-2+n <= 0")
-
-    vertices = set(g.vertices)
-    inv = dict(g.involution)
-    ep = dict(g.endpoint)
-    weight = dict(wg.weight)
-    length = dict(tc.length)
-
-    def halves_at(v):
-        return [h for h in ep if ep[h] == v]
-
-    changed = True
-    while changed:
-        changed = False
-        # prune 1-valent weight-0 ends first: the pruned edges are exactly
-        # the ones allowed to be infinite, so later merges stay finite
-        for v in sorted(vertices):
-            hs = halves_at(v)
-            if weight[v] == 0 and len(hs) == 1 and inv[hs[0]] != hs[0]:
-                h = hs[0]
-                h2 = inv[h]
-                key = min(h, h2)
-                del inv[h], inv[h2], ep[h], ep[h2]
-                del length[key]
-                vertices.remove(v)
-                del weight[v]
-                changed = True
-                break
-        if changed:
-            continue
-        for v in sorted(vertices):
-            hs = halves_at(v)
-            if weight[v] == 0 and len(hs) == 2:
-                ha, hb = sorted(hs)
-                if inv[ha] == hb:
-                    raise GraphError("2-valent loop vertex cannot be stabilized")
-                if inv[ha] == ha or inv[hb] == hb:
-                    continue  # legs are marked points, not removable
-                pa, pb = inv[ha], inv[hb]
-                ka, kb = min(ha, pa), min(hb, pb)
-                merged = length[ka] + length[kb]
-                del length[ka], length[kb]
-                del inv[ha], inv[hb], ep[ha], ep[hb]
-                inv[pa], inv[pb] = pb, pa
-                length[min(pa, pb)] = merged
-                vertices.remove(v)
-                del weight[v]
-                changed = True
-                break
-
-    labels = {h: g.leg_labels[h] for h in g.leg_labels if h in inv}
-    out_g = Graph(vertices, inv, ep, labels)
-    out = WeightedGraph(out_g, weight)
-    if not out.is_stable():
-        raise GraphError("stabilization did not reach a stable graph")
-    return TropicalCurve(out, length)
-
-
 # -- JSON and DOT -------------------------------------------------------------
 
 
 def to_json_dict(obj) -> dict:
-    """Bit-stable JSON form of a Graph, WeightedGraph or TropicalCurve."""
-    if isinstance(obj, TropicalCurve):
-        wg, lengths = obj.wgraph, obj.length
-    elif isinstance(obj, WeightedGraph):
-        wg, lengths = obj, None
-    elif isinstance(obj, Graph):
-        wg, lengths = WeightedGraph(obj), None
-    else:
-        raise GraphError(f"cannot serialize {type(obj).__name__}")
+    """Bit-stable JSON form of a Graph or WeightedGraph."""
+    wg = _as_weighted(obj)
     g = wg.graph
-    d = {
+    return {
         "vertices": [{"id": v, "weight": wg.weight[v]} for v in g.vertices],
         "half_edges": [
             {"id": h, "vertex": g.endpoint[h], "partner": g.involution[h]}
@@ -545,12 +424,6 @@ def to_json_dict(obj) -> dict:
             {"half_edge": h, "label": g.leg_labels[h]} for h in g.legs
         ],
     }
-    if lengths is not None:
-        d["lengths"] = {
-            str(k): ("inf" if math.isinf(x) else x)
-            for k, x in sorted(lengths.items())
-        }
-    return d
 
 
 def _json_int(x, what: str, doc: str = "graph") -> int:
@@ -561,28 +434,26 @@ def _json_int(x, what: str, doc: str = "graph") -> int:
     return x
 
 
-def _json_length(k, x) -> tuple[int, float]:
-    """One `lengths` entry: a decimal-integer key, a number or "inf"."""
-    if not (isinstance(k, str) and re.fullmatch(r"-?[0-9]+", k)):
-        raise GraphError(f"malformed graph JSON: length key {k!r} is not a "
-                         f"decimal integer")
-    if x == "inf":
-        return int(k), math.inf
-    if type(x) in (int, float):
-        try:
-            return int(k), float(x)
-        except OverflowError:
-            pass
-    raise GraphError(f'malformed graph JSON: length of {k} must be a number '
-                     f'or "inf", not {x!r}')
+def from_json_dict(d: dict) -> Graph | WeightedGraph:
+    """Inverse of to_json_dict: a WeightedGraph when some vertex weight is
+    nonzero, else a Graph.
 
-
-def from_json_dict(d: dict):
-    """Inverse of to_json_dict; returns the most specific of the three types.
-
-    Ids, weights, partners and labels must be JSON integers (not booleans or
-    floats); anything else raises GraphError.
+    The document is an object whose fields are the arrays `vertices`,
+    `half_edges` and, optionally, `legs`, and nothing else.  Ids, weights,
+    partners and labels must be JSON integers (not booleans or floats); a
+    missing weight is 0.  Anything else raises GraphError.
     """
+    if not isinstance(d, dict):
+        raise GraphError(f"malformed graph JSON: a graph is an object, not "
+                         f"{type(d).__name__}")
+    unknown = set(d) - {"vertices", "half_edges", "legs"}
+    if unknown:
+        raise GraphError(f"malformed graph JSON: unknown fields "
+                         f"{sorted(map(str, unknown))}")
+    for field in ("vertices", "half_edges", "legs"):
+        if field in d and not isinstance(d[field], list):
+            raise GraphError(f"malformed graph JSON: {field} must be an array, "
+                             f"not {type(d[field]).__name__}")
     try:
         vertices = [_json_int(v["id"], "vertex id") for v in d["vertices"]]
         weights = {v["id"]: _json_int(v.get("weight", 0), "vertex weight")
@@ -593,17 +464,11 @@ def from_json_dict(d: dict):
               for h in d["half_edges"]}
         labels = {_json_int(leg["half_edge"], "leg half_edge"):
                   _json_int(leg["label"], "leg label") for leg in d.get("legs", [])}
-        lengths = d.get("lengths")
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
     if len(inv) != len(d["half_edges"]):
         raise GraphError("malformed graph JSON: duplicate half-edge ids")
     g = Graph(vertices, inv, ep, labels)
-    if lengths is not None:
-        if not isinstance(lengths, dict):
-            raise GraphError("malformed graph JSON: lengths must be an object")
-        return TropicalCurve(WeightedGraph(g, weights),
-                             dict(_json_length(k, x) for k, x in lengths.items()))
     if any(weights.values()):
         return WeightedGraph(g, weights)
     return g
@@ -710,22 +575,21 @@ def _write_json(v, ind: str, out: list, keys: dict):
 
 
 def underlying_graph(obj) -> Graph:
-    if isinstance(obj, Graph):
-        return obj
-    if isinstance(obj, WeightedGraph):
-        return obj.graph
-    if isinstance(obj, TropicalCurve):
-        return obj.wgraph.graph
-    raise GraphError(f"no underlying graph for {type(obj).__name__}")
+    """obj as a plain Graph, for linkage and its certificates, which are
+    defined on unweighted graphs: GraphError when obj carries a nonzero
+    vertex weight or is no graph at all."""
+    wg = _as_weighted(obj)
+    heavy = {v: w for v, w in wg.weight.items() if w}
+    if heavy:
+        raise GraphError(f"linkage is defined on unweighted graphs, but this "
+                         f"graph has vertex weights {heavy}")
+    return wg.graph
 
 
 def to_dot(obj, name: str = "G") -> str:
     """DOT rendering: parallel edges drawn separately, weights as labels,
     legs as arrowless stubs."""
-    if isinstance(obj, (WeightedGraph, TropicalCurve)):
-        wg = obj.wgraph if isinstance(obj, TropicalCurve) else obj
-    else:
-        wg = WeightedGraph(obj)
+    wg = _as_weighted(obj)
     g = wg.graph
     lines = [f"graph {name} {{"]
     for v in g.vertices:

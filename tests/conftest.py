@@ -5,7 +5,7 @@ import pytest
 
 import tropilink
 from tropilink.connectivity import longest_cycle
-from tropilink.graphs import build_graph
+from tropilink.graphs import _component_roots, build_graph
 
 
 def cli_env():
@@ -28,6 +28,22 @@ def is_hamiltonian(g, budget=None) -> bool:
         return False
     c = longest_cycle(g, budget)
     return c is not None and c.length == len(g.vertices)
+
+
+def loops_at(g, v) -> int:
+    """Number of loops at vertex v of g."""
+    return sum(1 for e in g.edges if g.edge_ends(e) == (v, v))
+
+
+def b1_of_edge_subset(g, S) -> int:
+    """First Betti number of the subgraph (V(g), S), summed over components.
+
+    Equals sum over target vertices of b1 of their preimage component when S
+    is the contracted set.
+    """
+    S = list(S)
+    roots = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
+    return len(S) - len(g.vertices) + len(set(roots.values()))
 
 
 def random_connected_multigraph(rng: random.Random, max_vertices=12,

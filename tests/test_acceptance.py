@@ -19,16 +19,16 @@ from tropilink.canonical import are_isomorphic, canonical_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkStep,
                                     verify_certificate)
 from tropilink.connectivity import edge_connectivity_capped, longest_cycle
-from tropilink.graphs import (b1_of_edge_subset, build_graph, contract,
-                              dumps_canonical, dumbbell_graph, genus,
-                              petersen_graph, theta_graph, to_json_dict,
-                              weighted_contract)
+from tropilink.graphs import (build_graph, contract, dumps_canonical,
+                              dumbbell_graph, genus, petersen_graph,
+                              theta_graph, to_json_dict, weighted_contract)
 from tropilink.linkage import link, reduce_to_polygon
 from tropilink.moduli import (build_poset, check_schottky_codim1,
                               connected_through_codim_one)
 from tropilink.normal_form import build_polygon, epsilon, normalize
 
-from conftest import cli_env, is_hamiltonian, random_connected_multigraph
+from conftest import (b1_of_edge_subset, cli_env, is_hamiltonian,
+                      random_connected_multigraph)
 
 PAIRS = [(3, 2), (3, 3), (3, 4), (4, 3)]
 

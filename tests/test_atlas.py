@@ -7,6 +7,8 @@ from tropilink.connectivity import is_p_regular
 from tropilink.graphs import (GraphError, dumbbell_graph, genus, theta_graph,
                               weighted_contract)
 
+from conftest import loops_at
+
 
 def test_counts_formulas():
     assert regular_counts(3, 2) == (2, 3)
@@ -29,7 +31,7 @@ def test_enumerate_4_3_hand_audit():
     cl = enumerate_p_regular(4, 3)
     assert len(cl) == 2
     shapes = sorted(
-        tuple(sorted(g.loops_at(v) for v in g.vertices)) for g in cl
+        tuple(sorted(loops_at(g, v) for v in g.vertices)) for g in cl
     )
     assert shapes == [(0, 0), (1, 1)]  # the 4-banana and the looped pair
     assert len(enumerate_p_regular(4, 3, "3ec")) == 1

@@ -208,10 +208,14 @@ LEGGED = build_graph([(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     (theta_graph(), _theta_lengths(True)),
     (theta_graph(), _theta_lengths(None)),
     (theta_graph(), _theta_lengths(10 ** 400)),
+    (theta_graph(), _set(("color",), "red")),
+    (theta_graph(), _set(("legs",), "")),
+    (theta_graph(), _set(("legs",), {})),
 ], ids=["weight-string", "weight-float", "vertex-id-bool", "half-edge-id-float",
         "half-edge-vertex-bool", "half-edge-partner-string", "half-edge-duplicate",
         "leg-half-edge-float", "leg-label-bool", "lengths-key", "lengths-list",
-        "length-string", "length-bool", "length-null", "length-overflow"])
+        "length-string", "length-bool", "length-null", "length-overflow",
+        "unknown-field", "legs-string", "legs-object"])
 def test_malformed_graph_fields_exit_2(tmp_path, capsys, graph, mutate):
     doc = to_json_dict(graph)
     mutate(doc)
@@ -414,3 +418,25 @@ def test_verify_p_below_3_exits_2(tmp_path, capsys, p):
     assert cli.main(["verify", str(path), "--p", p]) == 2
     assert "--p must be >= 3" in json.loads(capsys.readouterr().out)["error"]
     assert cli.main(["verify", str(path), "--p", "3"]) == 0
+
+
+def test_link_weighted_graph_exits_2(tmp_path, capsys):
+    """Linkage is defined on unweighted graphs: a weighted theta (genus 4 as
+    a weighted graph) is malformed input, not the plain theta."""
+    write_graph(tmp_path / "heavy.json",
+                build_graph([(0, 1)] * 3, weights={0: 1, 1: 1}))
+    write_graph(tmp_path / "theta.json", theta_graph())
+    rc = cli.main(["link", str(tmp_path / "heavy.json"),
+                   str(tmp_path / "theta.json")])
+    assert rc == 2
+    assert "vertex weights {0: 1, 1: 1}" in \
+        json.loads(capsys.readouterr().out)["error"]
+
+
+def test_verify_weighted_certificate_graph_exits_2(tmp_path, capsys):
+    doc = certificate_to_json_dict(link(theta_graph(), dumbbell_graph()))
+    doc["graphs"][0]["vertices"][0]["weight"] = 3
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["verify", str(path)]) == 2
+    assert "vertex weights {0: 3}" in json.loads(capsys.readouterr().out)["error"]

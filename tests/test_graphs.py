@@ -1,17 +1,14 @@
 import json
-import math
-import random
 
 import pytest
 
-from tropilink.graphs import (Graph, GraphError, TropicalCurve, WeightedGraph,
-                              b1_of_edge_subset, build_graph, contract,
-                              dumbbell_graph, dumps_canonical, from_json_dict,
-                              genus, k4_graph, petersen_graph, stabilize,
+from tropilink.graphs import (Graph, GraphError, WeightedGraph, build_graph,
+                              contract, dumbbell_graph, dumps_canonical,
+                              from_json_dict, genus, k4_graph, petersen_graph,
                               theta_graph, to_dot, to_json_dict,
-                              weighted_contract)
+                              underlying_graph, weighted_contract)
 
-from conftest import random_connected_multigraph
+from conftest import b1_of_edge_subset, loops_at, random_connected_multigraph
 
 
 def test_genus_theta():
@@ -41,7 +38,7 @@ def test_valency_counts_loops_twice_and_legs_once():
     g = build_graph([(0, 0), (0, 1)], legs=[(1, 1)])
     assert g.valency(0) == 3
     assert g.valency(1) == 2
-    assert g.loops_at(0) == 1
+    assert loops_at(g, 0) == 1
 
 
 def test_contract_theta_edge_gives_two_loops():
@@ -154,81 +151,6 @@ def test_stability_predicate():
     assert not bad.is_stable()
 
 
-# -- stabilization ------------------------------------------------------------
-
-
-def _curve(edges, weights, lengths, legs=()):
-    wg = build_graph(edges, legs=legs, weights=weights)
-    keyed = {}
-    g = wg.graph
-    for e, x in zip(g.edges, lengths):
-        keyed[e] = x
-    for h in g.legs:
-        keyed[h] = math.inf
-    return TropicalCurve(wg, keyed)
-
-
-def test_stabilize_merges_two_valent_vertex():
-    # theta with one edge subdivided: lengths 1 and 2 merge to 3
-    edges = [(0, 1), (0, 1), (0, 2), (2, 1)]
-    tc = _curve(edges, {0: 0, 1: 0, 2: 0}, [5.0, 7.0, 1.0, 2.0])
-    out = stabilize(tc)
-    assert len(out.wgraph.graph.vertices) == 2
-    assert sorted(out.length.values()) == [1.0 + 2.0, 5.0, 7.0]
-
-
-def test_stabilize_removes_one_valent_end():
-    # theta plus a dangling infinite edge to a weight-0 leaf
-    edges = [(0, 1), (0, 1), (0, 1), (0, 2)]
-    tc = _curve(edges, {0: 0, 1: 0, 2: 0}, [1.0, 2.0, 3.0, math.inf])
-    out = stabilize(tc)
-    assert len(out.wgraph.graph.vertices) == 2
-    assert sorted(out.length.values()) == [1.0, 2.0, 3.0]
-
-
-def test_stabilize_idempotent_on_stable():
-    tc = _curve([(0, 1), (0, 1), (0, 1)], {0: 0, 1: 0}, [1.0, 2.0, 3.0])
-    out = stabilize(tc)
-    assert out.wgraph.graph == tc.wgraph.graph
-    assert out.length == tc.length
-
-
-def test_stabilize_rejects_unstable_range():
-    tc = _curve([(0, 0)], {0: 0}, [1.0])  # (g, n) = (1, 0)
-    with pytest.raises(GraphError):
-        stabilize(tc)
-
-
-def test_stabilize_representative_independent(rng):
-    from tropilink.canonical import canonical_form
-
-    base = _curve([(0, 1), (0, 1), (0, 1)], {0: 0, 1: 0}, [1.0, 2.0, 3.0])
-    want = canonical_form(stabilize(base).wgraph)
-    for _ in range(20):
-        # subdivide random edges with random split points
-        g = base.wgraph.graph
-        edges = []
-        lengths = []
-        nxt = 2
-        for e in g.edges:
-            a, b = g.edge_ends(e)
-            if rng.random() < 0.6:
-                t = rng.uniform(0.1, 0.9) * base.length[e]
-                edges.append((a, nxt))
-                lengths.append(t)
-                edges.append((nxt, b))
-                lengths.append(base.length[e] - t)
-                nxt += 1
-            else:
-                edges.append((a, b))
-                lengths.append(base.length[e])
-        wg = build_graph(edges, weights={v: 0 for v in range(nxt)})
-        tc = TropicalCurve(wg, dict(zip(wg.graph.edges, lengths)))
-        out = stabilize(tc)
-        assert canonical_form(out.wgraph) == want
-        assert sum(out.length.values()) == pytest.approx(sum(base.length.values()))
-
-
 # -- serialization ------------------------------------------------------------
 
 
@@ -240,20 +162,29 @@ def test_json_round_trip_graph():
     assert dumps_canonical(to_json_dict(again)) == s
 
 
-def test_json_round_trip_curve():
-    tc = _curve([(0, 1), (0, 1), (0, 1)], {0: 1, 1: 0}, [1.5, 2.0, 3.25],
-                legs=[(1, 1)])
-    s = dumps_canonical(to_json_dict(tc))
+def test_json_round_trip_weighted_legged():
+    wg = build_graph([(0, 1), (0, 1), (0, 1)], legs=[(1, 1), (0, 2)],
+                     weights={0: 1, 1: 0})
+    s = dumps_canonical(to_json_dict(wg))
     again = from_json_dict(json.loads(s))
-    assert isinstance(again, TropicalCurve)
-    assert again.length == tc.length
-    assert again.wgraph.weight == tc.wgraph.weight
+    assert isinstance(again, WeightedGraph)
+    assert again == wg
     assert dumps_canonical(to_json_dict(again)) == s
 
 
 def test_json_malformed_rejected():
     with pytest.raises(GraphError):
         from_json_dict({"vertices": "nope"})
+
+
+def test_underlying_graph_rejects_vertex_weights():
+    g = theta_graph()
+    assert underlying_graph(g) is g
+    assert underlying_graph(WeightedGraph(g)) is g
+    with pytest.raises(GraphError, match="vertex weights"):
+        underlying_graph(WeightedGraph(g, {0: 3}))
+    with pytest.raises(GraphError):
+        underlying_graph(to_json_dict(g))
 
 
 def test_dot_export_mentions_weights_and_legs():

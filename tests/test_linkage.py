@@ -522,13 +522,3 @@ def test_descent_with_single_short_chord_odd_gamma():
     assert are_isomorphic(cert.graphs[-1], build_polygon(6, 5))
     cert3 = reduce_to_polygon(g, "3ec")
     assert verify_certificate(cert3, mode="3ec").valid
-
-
-def test_partner_fallback_at_odd_gamma():
-    from tropilink.normal_form import find_partner_short_chord, amplitude
-
-    nf = nf_with_chords(5, [(1, 3), (1, 3), (1, 3), (1, 4), (2, 4), (2, 4),
-                            (2, 5), (2, 5), (3, 5), (4, 5)])
-    k, l, _ = find_partner_short_chord(nf, (4, 5))
-    assert amplitude(nf, (k, l)) == nf.gamma // 2  # no short partner exists
-    assert l - k == amplitude(nf, (k, l))          # near side is the short one

@@ -6,10 +6,10 @@ from tropilink.connectivity import (edge_connectivity_capped, is_p_regular,
                                     longest_cycle)
 from tropilink.graphs import (GraphError, build_graph, k4_graph, theta_graph)
 from tropilink.normal_form import (NormalizedForm, amplitude, build_polygon,
-                                   epsilon, find_partner_short_chord, is_short,
-                                   normalize, short_arc)
+                                   epsilon, is_short, normalize, short_arc)
 
 from conftest import is_hamiltonian
+from partner_chord_oracle import find_partner_short_chord
 
 
 def nf_with_chords(gamma, pairs):
@@ -128,6 +128,14 @@ def test_partner_exists_exhaustively():
                 k, l, _ = find_partner_short_chord(nf, (i, j, key))
                 assert is_short(nf, (k, l))
                 assert not set(short_arc(nf, (i, j))) & set(short_arc(nf, (k, l)))
+
+
+def test_partner_fallback_at_odd_gamma():
+    nf = nf_with_chords(5, [(1, 3), (1, 3), (1, 3), (1, 4), (2, 4), (2, 4),
+                            (2, 5), (2, 5), (3, 5), (4, 5)])
+    k, l, _ = find_partner_short_chord(nf, (4, 5))
+    assert amplitude(nf, (k, l)) == nf.gamma // 2  # no short partner exists
+    assert l - k == amplitude(nf, (k, l))          # near side is the short one
 
 
 def test_polygon_small_cases():

@@ -5,9 +5,11 @@ value from a fixed pool, or deleted, and `tropilink verify` is run on the
 result in-process.  Whatever the mutation, the exit code is 0 (valid), 1
 (invalid) or 2 (malformed), never 4 or an escaped exception, and stdout is
 one JSON object.  A mutation that still verifies must describe the same
-chain: graphs pairwise isomorphic to the original's.  The certificates are
-those of acceptance criteria 1 (plain), 3 (Petersen to P10, 3ec) and 6
-(legged).
+chain: graphs pairwise isomorphic to the original's.  Under `graphs` the
+reader is strict: a mutation there that still verifies must leave the field
+as it was (same type and value) or delete one whose default it held (a
+weight 0, an empty `legs`).  The certificates are those of acceptance
+criteria 1 (plain), 3 (Petersen to P10, 3ec) and 6 (legged).
 """
 
 import contextlib
@@ -85,6 +87,18 @@ def _mutated(doc, path, value):
     return doc
 
 
+def _changes_nothing(doc, path, value) -> bool:
+    """Whether replacing (or deleting) the field at path leaves the same
+    document up to a defaulted field: same type and value, or the deletion
+    of a weight 0 or of an empty `legs`."""
+    old = doc
+    for key in path:
+        old = old[key]
+    if value is DELETE:
+        return (path[-1], old) in (("weight", 0), ("legs", []))
+    return type(value) is type(old) and value == old
+
+
 def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
     workdir, certs = originals
     docs = [d for _, d in certs]
@@ -107,6 +121,8 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
             original = certs[i][0].graphs
             assert len(graphs) == len(original)
             assert all(are_isomorphic(a, b) for a, b in zip(graphs, original))
+            if path[0] == "graphs":
+                assert _changes_nothing(docs[i], path, value), (path, value)
 
     check()
 
