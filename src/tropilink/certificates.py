@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from .canonical import are_isomorphic, isomorphism_witness
 from .connectivity import Cycle, edge_connectivity_capped
-from .graphs import (Graph, GraphError, _json_int, contract, from_json_dict,
-                     to_json_dict, underlying_graph)
+from .graphs import (Graph, GraphError, _json_fields, _json_int, contract,
+                     from_json_dict, to_json_dict, underlying_graph)
 
 
 class StrongLinkStep:
@@ -343,30 +343,59 @@ def _int(x, what: str) -> int:
     return _json_int(x, what, "certificate")
 
 
+def _decimal(k) -> bool:
+    """Whether k is a string that str() writes for an integer."""
+    try:
+        return str(int(k)) == k
+    except (TypeError, ValueError):
+        return False
+
+
 def _id_map(m: dict, what: str) -> dict[int, int]:
-    """A witness map: decimal-string (or int) keys, int values."""
-    out = {}
-    for k, v in m.items():
-        if isinstance(k, str):
-            try:
-                k = int(k)
-            except ValueError:
-                pass
-        out[_int(k, f"{what} key")] = _int(v, f"{what} value")
-    return out
+    """A witness map: keys are the decimal strings that str() writes for
+    integers (so " 9", "09", "+9" and "1_0" are malformed), values ints.
+    Keys and values are checked list by list."""
+    keys, values = list(m), list(m.values())
+    if set(map(type, values)) - {int}:
+        for v in values:
+            _int(v, f"{what} value")
+    try:
+        ids = list(map(int, keys))
+    except (TypeError, ValueError):
+        ids = []
+    if list(map(str, ids)) != keys:
+        bad = next(k for k in keys if not _decimal(k))
+        raise GraphError(f"malformed certificate JSON: {what} key {bad!r} "
+                         f"is not a decimal integer")
+    return dict(zip(ids, values))
+
+
+_CERT_FIELDS = frozenset(("mode", "p", "leg_mode", "graphs", "steps"))
+_STEP_FIELDS = frozenset(("left_index", "left_edge", "right_edge", "witness",
+                          "cycles"))
+_WITNESS_FIELDS = frozenset(("vertices", "edges", "legs"))
 
 
 def certificate_from_json_dict(d: dict) -> LinkageCertificate:
+    """Inverse of certificate_to_json_dict.  The certificate, each step and
+    each witness carry no fields beyond the ones that function writes (a
+    step's `cycles`, a witness's `legs` and the certificate's `leg_mode` may
+    be absent); graphs follow graphs.from_json_dict.  Anything else raises
+    GraphError."""
     try:
+        _json_fields([d], _CERT_FIELDS, "the certificate", "certificate")
         graphs = []
         for gd in d["graphs"]:
             graphs.append(underlying_graph(from_json_dict(gd)))
         steps = []
         for i, s in enumerate(d["steps"]):
+            _json_fields([s], _STEP_FIELDS, f"step {i}", "certificate")
             if _int(s["left_index"], "left_index") != i:
                 raise GraphError(f"malformed certificate JSON: step {i} has "
                                  f"left_index {s['left_index']}")
             w = s["witness"]
+            _json_fields([w], _WITNESS_FIELDS, f"the witness of step {i}",
+                         "certificate")
             witness = (
                 _id_map(w["vertices"], "witness vertex"),
                 _id_map(w["edges"], "witness edge"),

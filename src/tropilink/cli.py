@@ -13,6 +13,7 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import traceback
@@ -144,7 +145,10 @@ def _cmd_check_codim1(args) -> int:
     return 0 if connected else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so in-process callers of `main` share it."""
     ap = argparse.ArgumentParser(
         prog="tropilink",
         description="certified linkage of regular multigraphs and "

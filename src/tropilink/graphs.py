@@ -434,39 +434,62 @@ def _json_int(x, what: str, doc: str = "graph") -> int:
     return x
 
 
+def _json_fields(objs: list, allowed: frozenset, what: str,
+                 doc: str = "graph"):
+    """GraphError unless no object of `objs` has a field outside `allowed`:
+    the union of their key sets, compared once."""
+    unknown = set().union(*map(dict.keys, objs)) - allowed
+    if unknown:
+        raise GraphError(f"malformed {doc} JSON: unknown fields "
+                         f"{sorted(map(str, unknown))} in {what}")
+
+
+_GRAPH_FIELDS = frozenset(("vertices", "half_edges", "legs"))
+_VERTEX_FIELDS = frozenset(("id", "weight"))
+_HALF_EDGE_FIELDS = frozenset(("id", "vertex", "partner"))
+_LEG_FIELDS = frozenset(("half_edge", "label"))
+
+
 def from_json_dict(d: dict) -> Graph | WeightedGraph:
     """Inverse of to_json_dict: a WeightedGraph when some vertex weight is
     nonzero, else a Graph.
 
     The document is an object whose fields are the arrays `vertices`,
-    `half_edges` and, optionally, `legs`, and nothing else.  Ids, weights,
-    partners and labels must be JSON integers (not booleans or floats); a
-    missing weight is 0.  Anything else raises GraphError.
+    `half_edges` and, optionally, `legs`, and nothing else.  A vertex entry
+    has the fields `id` and, optionally, `weight`; a half-edge entry `id`,
+    `vertex` and `partner`; a leg entry `half_edge` and `label`; and no
+    others.  Ids, weights, partners and labels must be JSON integers (not
+    booleans or floats); a missing weight is 0.  Anything else raises
+    GraphError.
     """
     if not isinstance(d, dict):
         raise GraphError(f"malformed graph JSON: a graph is an object, not "
                          f"{type(d).__name__}")
-    unknown = set(d) - {"vertices", "half_edges", "legs"}
-    if unknown:
-        raise GraphError(f"malformed graph JSON: unknown fields "
-                         f"{sorted(map(str, unknown))}")
+    _json_fields([d], _GRAPH_FIELDS, "a graph")
     for field in ("vertices", "half_edges", "legs"):
         if field in d and not isinstance(d[field], list):
             raise GraphError(f"malformed graph JSON: {field} must be an array, "
                              f"not {type(d[field]).__name__}")
     try:
-        vertices = [_json_int(v["id"], "vertex id") for v in d["vertices"]]
+        vs, hs, legs = d["vertices"], d["half_edges"], d.get("legs", [])
+        vertices = [_json_int(v["id"], "vertex id") for v in vs]
         weights = {v["id"]: _json_int(v.get("weight", 0), "vertex weight")
-                   for v in d["vertices"]}
+                   for v in vs}
         inv = {_json_int(h["id"], "half-edge id"):
-               _json_int(h["partner"], "half-edge partner") for h in d["half_edges"]}
-        ep = {h["id"]: _json_int(h["vertex"], "half-edge vertex")
-              for h in d["half_edges"]}
+               _json_int(h["partner"], "half-edge partner") for h in hs}
+        ep = {h["id"]: _json_int(h["vertex"], "half-edge vertex") for h in hs}
         labels = {_json_int(leg["half_edge"], "leg half_edge"):
-                  _json_int(leg["label"], "leg label") for leg in d.get("legs", [])}
+                  _json_int(leg["label"], "leg label") for leg in legs}
     except (KeyError, TypeError) as exc:
         raise GraphError(f"malformed graph JSON: {exc}") from exc
-    if len(inv) != len(d["half_edges"]):
+    _json_fields(vs, _VERTEX_FIELDS, "a vertex")
+    # every field of a half-edge or leg entry was read above, so the entries
+    # carry no other field exactly when their sizes add up
+    if sum(map(len, hs)) != 3 * len(hs):
+        _json_fields(hs, _HALF_EDGE_FIELDS, "a half-edge")
+    if sum(map(len, legs)) != 2 * len(legs):
+        _json_fields(legs, _LEG_FIELDS, "a leg")
+    if len(inv) != len(hs):
         raise GraphError("malformed graph JSON: duplicate half-edge ids")
     g = Graph(vertices, inv, ep, labels)
     if any(weights.values()):

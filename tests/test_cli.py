@@ -211,11 +211,16 @@ LEGGED = build_graph([(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
     (theta_graph(), _set(("color",), "red")),
     (theta_graph(), _set(("legs",), "")),
     (theta_graph(), _set(("legs",), {})),
+    (theta_graph(), _set(("vertices", 0, "color"), "red")),
+    (theta_graph(), _set(("half_edges", 2, "length"), 1)),
+    (LEGGED, _set(("legs", 1, "name"), "a")),
+    (theta_graph(), _set(("vertices", 1), [1, 0])),
 ], ids=["weight-string", "weight-float", "vertex-id-bool", "half-edge-id-float",
         "half-edge-vertex-bool", "half-edge-partner-string", "half-edge-duplicate",
         "leg-half-edge-float", "leg-label-bool", "lengths-key", "lengths-list",
         "length-string", "length-bool", "length-null", "length-overflow",
-        "unknown-field", "legs-string", "legs-object"])
+        "unknown-field", "legs-string", "legs-object", "vertex-unknown-field",
+        "half-edge-unknown-field", "leg-unknown-field", "vertex-array"])
 def test_malformed_graph_fields_exit_2(tmp_path, capsys, graph, mutate):
     doc = to_json_dict(graph)
     mutate(doc)
@@ -377,6 +382,100 @@ def test_verify_left_index_off_its_position_is_malformed(
     r = _verify_mutated(tmp_path, petersen_3ec_cert, edit)
     assert r.returncode == 2, r.stdout + r.stderr
     assert "left_index" in json.loads(r.stdout)["error"]
+
+
+def _respell(kind, key, spelling):
+    """Edit renaming witness key `key` of step 0's `kind` map."""
+    def edit(d):
+        m = d["steps"][0]["witness"][kind]
+        m[spelling] = m.pop(key)
+    return edit
+
+
+def _insert(path, key):
+    """Edit adding the field `key` to the object at `path`."""
+    def edit(d):
+        node = d
+        for step in path:
+            node = node[step]
+        node[key] = 0
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_insert((), "comment"), "unknown fields ['comment'] in the certificate"),
+    (_insert(("steps", 1), "note"), "unknown fields ['note'] in step 1"),
+    (_insert(("steps", 0, "witness"), "faces"),
+     "unknown fields ['faces'] in the witness of step 0"),
+    (_insert(("graphs", 1, "vertices", 0), "color"),
+     "unknown fields ['color'] in a vertex"),
+    (_insert(("graphs", 0, "half_edges", 3), "length"),
+     "unknown fields ['length'] in a half-edge"),
+    (_respell("vertices", "9", " 9"), "key ' 9'"),
+    (_respell("vertices", "9", "9 "), "key '9 '"),
+    (_respell("vertices", "9", "09"), "key '09'"),
+    (_respell("vertices", "9", "+9"), "key '+9'"),
+    (_respell("vertices", "9", "\u0669"), "is not a decimal integer"),
+    (_respell("edges", "10", "1_0"), "key '1_0'"),
+    (_respell("edges", "0", "-0"), "key '-0'"),
+], ids=["top-level", "step", "witness", "vertex", "half-edge", "key-space-before",
+        "key-space-after", "key-leading-zero", "key-plus", "key-arabic-indic",
+        "key-underscore", "key-minus-zero"])
+def test_verify_unknown_fields_and_respelled_keys_are_malformed(
+        tmp_path, capsys, petersen_3ec_cert, edit, message):
+    """Strictness below the top level: in-process, each edit exits 2 where
+    the unedited certificate verifies."""
+    for d, want in ((petersen_3ec_cert, 0), (copy.deepcopy(petersen_3ec_cert), 2)):
+        if want == 2:
+            edit(d)
+        (tmp_path / "cert.json").write_text(json.dumps(d))
+        assert cli.main(["verify", str(tmp_path / "cert.json")]) == want
+        out = json.loads(capsys.readouterr().out)
+    assert "malformed" in out["error"] and message in out["error"], out
+
+
+SESSION = [
+    ["polygon", "--p", "3", "--gamma", "4"],
+    ["polygon", "--p", "3"],
+    ["enumerate", "--p", "3", "--genus", "2", "--3ec"],
+    ["nosuch", "--p", "3"],
+    ["polygon", "--p", "4", "--gamma", "5", "--format", "dot"],
+    ["enumerate", "--p", "3", "--genus", "2"],
+    ["link", "theta.json", "dumbbell.json", "-o", "cert.json"],
+    ["verify", "cert.json", "--p", "4", "--mode", "3ec"],
+    ["verify", "cert.json", "--p"],
+    ["verify", "cert.json"],
+    ["check-codim1", "--genus", "2", "--locus", "3ec"],
+    ["check-codim1", "--genus", "2"],
+]
+
+
+def _session_call(argv, capsys):
+    try:
+        rc = cli.main(argv)
+    except SystemExit as exc:  # argparse errors exit 2
+        rc = exc.code
+    out, err = capsys.readouterr()
+    return rc, out, err
+
+
+def test_parser_built_once_gives_fresh_results(tmp_path, monkeypatch, capsys):
+    """`main` shares one parser across calls.  A session of different
+    subcommands, with argparse errors between them, gives the exit codes
+    and bytes of calls that each build a fresh parser."""
+    write_graph(tmp_path / "theta.json", theta_graph())
+    write_graph(tmp_path / "dumbbell.json", dumbbell_graph())
+    monkeypatch.chdir(tmp_path)
+    fresh = []
+    for argv in SESSION:
+        cli.build_parser.cache_clear()
+        fresh.append(_session_call(argv, capsys))
+    cli.build_parser.cache_clear()
+    parser = cli.build_parser()
+    shared = [_session_call(argv, capsys) for argv in SESSION]
+    assert cli.build_parser() is parser
+    assert shared == fresh
+    assert [rc for rc, _, _ in shared] == [0, 2, 0, 2, 0, 0, 0, 1, 2, 0, 0, 0]
 
 
 def test_check_codim1_undocumented_locus_exits_2():

@@ -10,6 +10,11 @@ reader is strict: a mutation there that still verifies must leave the field
 as it was (same type and value) or delete one whose default it held (a
 weight 0, an empty `legs`).  The certificates are those of acceptance
 criteria 1 (plain), 3 (Petersen to P10, 3ec) and 6 (legged).
+
+Two kinds of insertion must be malformed (exit 2) wherever they land: a
+field the schema does not know, added to any object of the certificate, and
+a witness key respelled so that it still reads as its integer (" 9", "09",
+"+9", "1_0", full-width digits).
 """
 
 import contextlib
@@ -125,6 +130,96 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
                 assert _changes_nothing(docs[i], path, value), (path, value)
 
     check()
+
+
+UNKNOWN_KEYS = ["color", "lengths", "", "x", "Id", "weight ", "half-edges",
+                "0x9", "cycle"]
+FULL_WIDTH = str.maketrans("0123456789", "\uff10\uff11\uff12\uff13\uff14"
+                           "\uff15\uff16\uff17\uff18\uff19")
+
+
+def _objects_by_depth(doc) -> dict:
+    """{depth: [path, ...]} over every object (dict) of doc, the root at 0."""
+    by_depth, todo = {}, [((), doc)]
+    while todo:
+        path, node = todo.pop()
+        if isinstance(node, dict):
+            by_depth.setdefault(len(path), []).append(path)
+            todo.extend((path + (k,), node[k]) for k in sorted(node))
+        elif isinstance(node, list):
+            todo.extend((path + (i,), x) for i, x in enumerate(node))
+    return by_depth
+
+
+@st.composite
+def insertions(draw, objects):
+    """(certificate index, path to an object, unknown key, value); the depth
+    is drawn first, as in `mutations`."""
+    i = draw(st.integers(0, len(objects) - 1))
+    depth = draw(st.sampled_from(sorted(objects[i])))
+    return (i, draw(st.sampled_from(objects[i][depth])),
+            draw(st.sampled_from(UNKNOWN_KEYS)),
+            draw(st.sampled_from(POOL[:-1])))
+
+
+def _respellings(key: str) -> list:
+    """Spellings of a decimal key that int() reads as the same integer."""
+    out = [" " + key, key + " ", "0" + key, "+" + key, key.translate(FULL_WIDTH)]
+    if len(key) > 1:
+        out.append(key[0] + "_" + key[1:])
+    if key == "0":
+        out.append("-0")
+    return out
+
+
+@st.composite
+def respellings(draw, docs):
+    """(certificate index, path to a witness map, key, its respelling)."""
+    i = draw(st.integers(0, len(docs) - 1))
+    step = draw(st.integers(0, len(docs[i]["steps"]) - 1))
+    witness = docs[i]["steps"][step]["witness"]
+    kind = draw(st.sampled_from([k for k in sorted(witness) if witness[k]]))
+    key = draw(st.sampled_from(sorted(witness[kind])))
+    return (i, ("steps", step, "witness", kind), key,
+            draw(st.sampled_from(_respellings(key))))
+
+
+def _verify_exits_2(workdir, doc):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(["verify", _write(workdir, doc)])
+    assert rc == 2, (rc, out.getvalue(), err.getvalue())
+    assert "malformed" in json.loads(out.getvalue())["error"]
+
+
+def test_verify_rejects_unknown_fields_and_respelled_keys(originals):
+    workdir, certs = originals
+    docs = [d for _, d in certs]
+
+    def edited(i, path, edit):
+        doc = copy.deepcopy(docs[i])
+        node = doc
+        for key in path:
+            node = node[key]
+        edit(node)
+        return doc
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(insertions([_objects_by_depth(doc) for doc in docs]))
+    def check_insertion(insertion):
+        i, path, key, value = insertion
+        _verify_exits_2(workdir, edited(i, path,
+                                        lambda obj: obj.__setitem__(key, value)))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(respellings(docs))
+    def check_respelling(respelling):
+        i, path, key, spelling = respelling
+        _verify_exits_2(workdir, edited(
+            i, path, lambda m: m.__setitem__(spelling, m.pop(key))))
+
+    check_insertion()
+    check_respelling()
 
 
 def _write(workdir, doc) -> str:
