@@ -1,10 +1,9 @@
 """Certified linkage of p-regular multigraphs and tropical moduli strata."""
 
 from .graphs import (Graph, WeightedGraph, ContractionMap, GraphError,
-                     InternalConsistencyError, build_graph, contract,
-                     weighted_contract, genus, theta_graph, dumbbell_graph,
-                     k4_graph, cycle_graph, petersen_graph, to_json_dict,
-                     from_json_dict, to_dot)
+                     InternalConsistencyError, build_graph, contract, genus,
+                     theta_graph, dumbbell_graph, k4_graph, cycle_graph,
+                     petersen_graph, to_json_dict, from_json_dict, to_dot)
 from .canonical import are_isomorphic, canonical_form, isomorphism_witness
 from .connectivity import (Cycle, edge_connectivity_capped, is_p_regular,
                            longest_cycle)

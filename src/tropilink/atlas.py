@@ -1,18 +1,26 @@
 """Enumeration of graph classes and moduli strata by closure under a move.
 
 One engine serves both: a worklist over canonical keys that expands every
-key once with a move function and records the key of each move's target.
+key once with a move function and records the keys of the move's targets.
+A key is `(colors, rows)`: vertex colours (weight, valency, loop count,
+leg labels, mark) and the upper-triangular multiplicity matrix with loop
+counts on the diagonal.
 
-- **p-regular classes.**  The move is the strong link: contract a non-loop
-  edge, then split the merged vertex again in every way.  The linkage
-  theorem says the strong-link move graph on p-regular classes of fixed
-  first Betti number is connected, so the closure of a single seed graph
-  reaches every class.  The recorded targets are that move graph.
-- **Moduli strata.**  The move is a one-edge weighted contraction.  The
-  tropical moduli space is pure-dimensional, so every stable graph is a
-  weighted contraction of a trivalent weight-zero one, and the downward
-  closure of the 3-regular classes with n legs is every stratum.  The
-  recorded targets are the one-edge covers.
+- **p-regular classes.**  The move is the strong link, on the graph
+  rebuilt from the key: contract a non-loop edge, then split the merged
+  vertex again in every way.  The linkage theorem says the strong-link
+  move graph on p-regular classes of fixed first Betti number is
+  connected, so the closure of a single seed graph reaches every class.
+  The recorded targets are that move graph.
+- **Moduli strata.**  The move is a one-edge weighted contraction, on the
+  key itself, one per nonzero matrix entry.  A loop at i raises i's weight
+  by one and lowers its loop count by one and its valency by two.  An i-j
+  edge merges j into i: weights and legs add, the valency is the sum less
+  two, and the other i-j edges become loops.  The tropical moduli space is
+  pure-dimensional, so every stable graph is a weighted contraction of a
+  trivalent weight-zero one, and the downward closure of the 3-regular
+  classes with n legs is every stratum.  The recorded targets are the
+  one-edge covers; the graph-level closure is their oracle in the tests.
 
 Class lists are sorted by canonical key, and each representative is
 rebuilt from its key (`canonical.from_canonical_form`), so output does not
@@ -22,10 +30,10 @@ this engine is kept in the tests as its independent oracle.
 
 from __future__ import annotations
 
-from .canonical import canonical_form, from_canonical_form
+from .canonical import _Canonizer, canonical_form, from_canonical_form
 from .connectivity import edge_connectivity_capped
 from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
-                     build_graph, contract, weighted_contract)
+                     build_graph, contract)
 from .hamiltonize import vertex_splits
 
 
@@ -60,53 +68,76 @@ def _seed(p: int, nv: int, legs: int) -> Graph:
 
 
 def _closure(seeds, move) -> dict[tuple, set[tuple]]:
-    """Every canonical key reachable from the seeds, mapped to the keys of
-    its move targets."""
-    targets: dict[tuple, set[tuple] | None] = {}
-    todo = []
-    for g in seeds:
-        key = canonical_form(g)
-        if key not in targets:
-            targets[key] = None
-            todo.append((key, g))
+    """Every canonical key reachable from the seed keys, mapped to the keys
+    of its move targets.  Each key is kept as one object, however many
+    targets name it."""
+    interned = {key: key for key in seeds}
+    targets: dict[tuple, set[tuple]] = {}
+    todo = list(interned)
     while todo:
-        key, g = todo.pop()
-        out = set()
-        for h in move(g):
-            hkey = canonical_form(h)
-            out.add(hkey)
-            if hkey not in targets:
-                targets[hkey] = None
-                todo.append((hkey, h))
-        targets[key] = out
+        key = todo.pop()
+        out = targets[key] = set()
+        for t in move(key):
+            same = interned.get(t)
+            if same is None:
+                interned[t] = same = t
+                todo.append(t)
+            out.add(same)
     return targets
 
 
-def _one_edge_per_pair(g: Graph, loops: bool):
-    """One edge key per pair of end vertices; contracting two edges with the
-    same ends gives isomorphic graphs."""
+def _strong_links(key: tuple):
+    """The key of every class one strong link away: contract a non-loop
+    edge, one per pair of end vertices, then split the merged vertex with
+    its first half-edge on the old side."""
+    g = from_canonical_form(key).graph
     by_ends: dict[tuple[int, int], int] = {}
     for e in g.edges:
         ends = g.edge_ends(e)
-        if (loops or ends[0] != ends[1]) and ends not in by_ends:
-            by_ends[ends] = e
-    return by_ends.values()
-
-
-def _strong_links(g: Graph):
-    """Every graph one strong link away: contract a non-loop edge, then
-    split the merged vertex with its first half-edge on the old side."""
-    for e in _one_edge_per_pair(g, loops=False):
+        if ends[0] != ends[1]:
+            by_ends.setdefault(ends, e)
+    for e in by_ends.values():
         mid, cmap = contract(g, {e})
         w = cmap.image_vertex(e)
         for split, _ in vertex_splits(mid, w, mid.half_edges_at(w)[:1], ()):
-            yield split
+            yield canonical_form(split)
 
 
-def _contractions(wg: WeightedGraph):
-    """Every weighted contraction of one edge."""
-    for e in _one_edge_per_pair(wg.graph, loops=True):
-        yield weighted_contract(wg, {e})[0]
+def _contractions(key: tuple):
+    """The key of every one-edge weighted contraction of the stratum with
+    this key, one per nonzero matrix entry."""
+    colors, rows = key
+    adj: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, m in enumerate(row[1:], i + 1):
+            if m:
+                adj[i][j] = adj[j][i] = m
+    for i, (w, val, nl, legs, _) in enumerate(colors):
+        if nl:
+            c = list(colors)
+            c[i] = (w + 1, val - 2, nl - 1, legs, False)
+            yield _Canonizer(c, adj).run()[0]
+        for j in adj[i]:
+            if j > i:
+                yield _Canonizer(*_merge(colors, adj, i, j)).run()[0]
+
+
+def _merge(colors, adj, i, j):
+    """Canonizer tables after contracting one i-j edge, i < j; the vertices
+    after j move down by one."""
+    f = [x - (x > j) for x in range(len(colors))]
+    f[j] = i
+    (wi, vi, li, gi, _), (wj, vj, lj, gj, _) = colors[i], colors[j]
+    c = list(colors)
+    del c[j]
+    c[i] = (wi + wj, vi + vj - 2, li + lj + adj[i][j] - 1,
+            tuple(sorted(gi + gj)), False)
+    a: list[dict[int, int]] = [{} for _ in c]
+    for x, nbrs in enumerate(adj):
+        for y, m in nbrs.items():
+            if f[x] != f[y]:
+                a[f[x]][f[y]] = a[f[x]].get(f[y], 0) + m
+    return c, a
 
 
 def _classes(p: int, b: int, filter: str,
@@ -118,7 +149,7 @@ def _classes(p: int, b: int, filter: str,
     nv, _ = regular_counts(p, b, legs)
     if b < 0:
         return [], {}
-    targets = _closure([_seed(p, nv, legs)], _strong_links)
+    targets = _closure([canonical_form(_seed(p, nv, legs))], _strong_links)
     keys = sorted(targets)
     if filter == "3ec":
         keys = [k for k in keys
@@ -156,10 +187,10 @@ def move_graph(p: int, b: int, filter: str = "all",
     return keys, adj
 
 
-def contraction_closure(graphs) -> dict[tuple, set[tuple]]:
-    """Every stratum below the given graphs, by canonical key, mapped to
-    the keys of its one-edge weighted contractions."""
-    return _closure((WeightedGraph(g) for g in graphs), _contractions)
+def contraction_closure(keys) -> dict[tuple, set[tuple]]:
+    """Every stratum below the ones with the given canonical keys, by key,
+    mapped to the keys of its one-edge weighted contractions."""
+    return _closure(keys, _contractions)
 
 
 def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
@@ -169,7 +200,7 @@ def enumerate_stable(g: int, n: int) -> list[WeightedGraph]:
         raise GraphError("the number of legs must be >= 0")
     if 2 * g - 2 + n <= 0:
         raise GraphError("stable graphs need 2g-2+n > 0")
-    below = contraction_closure(enumerate_p_regular(3, g, legs=n))
+    below = contraction_closure(_classes(3, g, "all", n)[0])
     return [from_canonical_form(k) for k in sorted(below)]
 
 

@@ -36,38 +36,15 @@ from .graphs import Graph, GraphError, WeightedGraph, _as_weighted, build_graph
 
 
 class _Canonizer:
-    def __init__(self, wg: WeightedGraph, marked: frozenset[int]):
-        g = wg.graph
-        self.g = g
-        self.n = len(g.vertices)
-        self.verts = list(g.vertices)
-        self.index = {v: i for i, v in enumerate(self.verts)}
+    """Search state over vertices 0..n-1, given by their colours (weight,
+    valency, loop count, leg labels, marked) and neighbour multiplicities
+    (adj[x][y] = number of x-y edges, x != y).  The encoding found is the
+    least over all leaves, so it does not depend on the numbering."""
 
-        loops = {v: 0 for v in g.vertices}
-        adj: dict[int, dict[int, int]] = {v: {} for v in g.vertices}
-        for e in g.edges:
-            a, b = g.edge_ends(e)
-            if a == b:
-                loops[a] += 1
-            else:
-                adj[a][b] = adj[a].get(b, 0) + 1
-                adj[b][a] = adj[b].get(a, 0) + 1
-        self.adj = {
-            self.index[v]: {self.index[u]: m for u, m in adj[v].items()}
-            for v in g.vertices
-        }
-
-        self.color = {
-            self.index[v]: (
-                wg.weight[v],
-                g.valency(v),
-                loops[v],
-                tuple(sorted(g.leg_labels[h] for h in g.legs_at(v))),
-                v in marked,
-            )
-            for v in g.vertices
-        }
-        self.loops = {self.index[v]: loops[v] for v in g.vertices}
+    def __init__(self, colors, adj):
+        self.n = len(colors)
+        self.color = colors
+        self.adj = adj
         # leaves as (encoding, order, path); autos as lists x -> image
         self.first: tuple | None = None
         self.best: tuple | None = None
@@ -111,7 +88,7 @@ class _Canonizer:
             for y, m in self.adj[x].items():
                 if pos[y] > i:
                     row[pos[y] - i] = m
-            row[0] = self.loops[x]
+            row[0] = self.color[x][2]
             rows.append(tuple(row))
         return (colors, tuple(rows))
 
@@ -180,8 +157,30 @@ class _Canonizer:
             cells.setdefault(self.color[x], []).append(x)
         partition = [sorted(cells[c]) for c in sorted(cells)]
         self._search(partition, [])
-        enc, order, _ = self.best
-        return enc, [self.verts[x] for x in order]
+        return self.best[:2]
+
+
+def _tables(wg: WeightedGraph, marked: frozenset[int]):
+    """The canonizer's colours and adjacency for a graph, its vertices
+    numbered in sorted order."""
+    g = wg.graph
+    index = {v: i for i, v in enumerate(g.vertices)}
+    loops = [0] * len(index)
+    adj: list[dict[int, int]] = [{} for _ in index]
+    for e in g.edges:
+        a, b = g.edge_ends(e)
+        a, b = index[a], index[b]
+        if a == b:
+            loops[a] += 1
+        else:
+            adj[a][b] = adj[a].get(b, 0) + 1
+            adj[b][a] = adj[b].get(a, 0) + 1
+    colors = [
+        (wg.weight[v], g.valency(v), loops[i],
+         tuple(sorted(g.leg_labels[h] for h in g.legs_at(v))), v in marked)
+        for v, i in index.items()
+    ]
+    return colors, adj
 
 
 def canonical_labeling(
@@ -197,8 +196,9 @@ def canonical_labeling(
     key = (marked, tuple(sorted(wg.weight.items())))
     hit = cache.get(key)
     if hit is None:
-        enc, order = _Canonizer(wg, marked).run()
-        hit = (enc, tuple(order))
+        verts = wg.graph.vertices
+        enc, order = _Canonizer(*_tables(wg, marked)).run()
+        hit = (enc, tuple(verts[x] for x in order))
         cache[key] = hit
     return hit
 
@@ -285,33 +285,25 @@ def isomorphism_witness(a, b, *, marked=((), ())):
 
 
 def _profile(wg: WeightedGraph) -> tuple:
-    """A label-invariant summary: the sorted vertex colours, then the sorted
-    per-vertex BFS layers of colour ranks.  A colour is (weight, valency,
-    leg labels).  Isomorphic graphs have equal profiles."""
-    g = wg.graph
-    color = {v: (wg.weight[v], g.valency(v),
-                 tuple(sorted(g.leg_labels[h] for h in g.legs_at(v))))
-             for v in g.vertices}
-    rank = {c: i for i, c in enumerate(sorted(set(color.values())))}
-    nbrs: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        a, b = g.edge_ends(e)
-        nbrs[a].add(b)
-        nbrs[b].add(a)
+    """A label-invariant summary: the sorted vertex colours of `_tables`,
+    then the sorted per-vertex BFS layers of colour ranks.  Isomorphic
+    graphs have equal profiles."""
+    color, adj = _tables(wg, frozenset())
+    rank = {c: i for i, c in enumerate(sorted(set(color)))}
     profiles = []
-    for v in g.vertices:
+    for v in range(len(color)):
         seen, layer, layers = {v}, [v], []
         while layer:
             layers.append(tuple(sorted(rank[color[u]] for u in layer)))
             nxt = []
             for u in layer:
-                for w in nbrs[u]:
+                for w in adj[u]:
                     if w not in seen:
                         seen.add(w)
                         nxt.append(w)
             layer = nxt
         profiles.append(tuple(layers))
-    return sorted(color.values()), sorted(profiles)
+    return sorted(color), sorted(profiles)
 
 
 def are_isomorphic(a, b) -> bool:

@@ -387,26 +387,6 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
     return target, ContractionMap(g, S, vmap)
 
 
-def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
-    """Contract S and fold the collapsed Betti number into the weights."""
-    S = frozenset(S)
-    g = wg.graph
-    target, cmap = contract(g, S)
-
-    comp_vertices: dict[int, list[int]] = {v: [] for v in target.vertices}
-    for v in g.vertices:
-        comp_vertices[cmap.vertex_map[v]].append(v)
-    comp_edges: dict[int, int] = {v: 0 for v in target.vertices}
-    for key in S:
-        comp_edges[cmap.vertex_map[g.edge_ends(key)[0]]] += 1
-
-    w = {}
-    for vbar in target.vertices:
-        b1_comp = comp_edges[vbar] - len(comp_vertices[vbar]) + 1
-        w[vbar] = b1_comp + sum(wg.weight[v] for v in comp_vertices[vbar])
-    return WeightedGraph(target, w), cmap
-
-
 # -- JSON and DOT -------------------------------------------------------------
 
 

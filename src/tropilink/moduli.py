@@ -8,33 +8,43 @@ contractions.  A locus restricts the strata: all of them, the pure ones
 (the combinatorial stand-in for the Schottky image), or the downward
 closure of the p-regular pure classes.  Strata and covers both come from
 one contraction closure (`atlas.contraction_closure`) of the 3-regular,
-or for `preg:P` the P-regular, classes.
+or for `preg:P` the P-regular, classes, which contracts canonical keys and
+builds no graph.  A stratum reads its dimension and genus off its key.
 """
 
 from __future__ import annotations
 
-from .atlas import components, contraction_closure, enumerate_p_regular
+from .atlas import _classes, components, contraction_closure
 from .canonical import form_hash, from_canonical_form
 from .connectivity import edge_connectivity_capped
-from .graphs import GraphError, WeightedGraph, genus
+from .graphs import GraphError, WeightedGraph
 
 
 class Stratum:
-    """A stratum by its labeled canonical key, with the graph rebuilt from
-    the key as representative."""
+    """A stratum by its labeled canonical key.  Dimension (the sum of the
+    multiplicity matrix) and genus are read off the key; the representative
+    graph is rebuilt from the key on first use."""
 
-    __slots__ = ("wgraph", "key")
+    __slots__ = ("key", "dimension", "_wgraph")
 
     def __init__(self, key: tuple):
         self.key = key
-        self.wgraph = from_canonical_form(key)
+        self.dimension = sum(map(sum, key[1]))
+        self._wgraph: WeightedGraph | None = None
 
     @property
-    def dimension(self) -> int:
-        return len(self.wgraph.graph.edges)
+    def wgraph(self) -> WeightedGraph:
+        if self._wgraph is None:
+            self._wgraph = from_canonical_form(self.key)
+        return self._wgraph
+
+    @property
+    def genus(self) -> int:
+        colors, rows = self.key
+        return self.dimension - len(rows) + 1 + sum(c[0] for c in colors)
 
     def __repr__(self):
-        return f"Stratum(dim={self.dimension}, genus={genus(self.wgraph)})"
+        return f"Stratum(dim={self.dimension}, genus={self.genus})"
 
 
 class StrataPoset:
@@ -85,24 +95,28 @@ class StrataPoset:
 
 
 def _parse_locus(locus) -> tuple[str, int | None]:
-    """all | pure | 3ec | preg:P, as (kind, P)."""
+    """all | pure | 3ec | preg:P, as (kind, P).  P is an integer >= 3
+    spelled as `str` writes it, so one locus has one spelling."""
     if locus in ("all", "pure", "3ec"):
         return locus, None
     if isinstance(locus, str) and locus.startswith("preg:"):
         try:
-            return ("preg", int(locus.split(":", 1)[1]))
+            p = int(locus[len("preg:"):])
         except ValueError:
-            raise GraphError(f"locus {locus!r}: p must be an integer") from None
-    raise GraphError(f"unknown locus {locus!r}")
+            p = 0
+        if p >= 3 and locus == f"preg:{p}":
+            return "preg", p
+    raise GraphError(f"unknown locus {locus!r}: all, pure, 3ec or preg:P "
+                     "with P >= 3 written in plain decimal")
 
 
-def _in_locus(wg: WeightedGraph, kind: str) -> bool:
+def _in_locus(s: Stratum, kind: str) -> bool:
     if kind == "all":
         return True
     if kind == "pure":
-        return wg.total_weight == 0
+        return all(c[0] == 0 for c in s.key[0])
     if kind == "3ec":
-        return edge_connectivity_capped(wg.graph) == 3
+        return edge_connectivity_capped(s.wgraph.graph) == 3
     raise GraphError(f"unknown locus kind {kind!r}")
 
 
@@ -110,6 +124,13 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     """Stratification poset of the chosen locus inside M_{g,n}.
 
     The 3ec and p-regular loci are defined for unpointed curves only.
+    Every locus but preg:P is the closure below all trivalent classes,
+    filtered.  Contraction never lowers edge connectivity, so the 3ec
+    strata are closed downward; yet starting the closure from the 3ec
+    trivalent classes alone would need every 3ec stratum to lie below a
+    3ec trivalent one.  That lemma is neither proved nor cited here
+    (`pure_dimension_violations` finds no counterexample up to genus 5),
+    so the 3ec locus keeps the filter.
     """
     if 2 * g - 2 + n <= 0:
         raise GraphError("moduli need 2g-2+n > 0")
@@ -117,16 +138,13 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     if kind in ("3ec", "preg") and n != 0:
         raise GraphError(f"locus {kind} is defined for n = 0 only")
 
-    if kind == "preg":
-        try:
-            tops = enumerate_p_regular(p, g)
-        except GraphError:
-            raise GraphError(f"no {p}-regular pure classes at genus {g}") from None
-    else:
-        tops = enumerate_p_regular(3, g, legs=n)
+    try:  # fails for preg:P only
+        tops = _classes(p or 3, g, "all", n)[0]
+    except GraphError:
+        raise GraphError(f"no {p}-regular pure classes at genus {g}") from None
     below = contraction_closure(tops)
     strata = [s for s in map(Stratum, sorted(below))
-              if kind == "preg" or _in_locus(s.wgraph, kind)]
+              if kind == "preg" or _in_locus(s, kind)]
     index = {s.key: i for i, s in enumerate(strata)}
     covers = {(i, index[t]) for i, s in enumerate(strata)
               for t in below[s.key] if t in index}

@@ -6,7 +6,7 @@ and keeps the first leaf with the least encoding.  The package's pruned
 search must return the same encoding and the same order.
 """
 
-from tropilink.canonical import _Canonizer
+from tropilink.canonical import _Canonizer, _tables
 from tropilink.graphs import _as_weighted
 
 
@@ -36,5 +36,6 @@ class _Unpruned(_Canonizer):
 
 def unpruned_labeling(obj, marked=()) -> tuple[tuple, tuple[int, ...]]:
     """(encoding, vertex order) of the unpruned search; no cache."""
-    enc, order = _Unpruned(_as_weighted(obj), frozenset(marked)).run()
-    return enc, tuple(order)
+    wg = _as_weighted(obj)
+    enc, order = _Unpruned(*_tables(wg, frozenset(marked))).run()
+    return enc, tuple(wg.graph.vertices[x] for x in order)

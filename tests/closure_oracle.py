@@ -1,0 +1,63 @@
+"""The graph-level strata closure: the oracle for `atlas.contraction_closure`,
+which contracts canonical keys.
+
+Every stratum is a weighted graph, one edge per pair of end vertices is
+contracted with `weighted_contract`, and each result is canonicalized
+through `canonical_form`.  This is how the library closed strata before it
+contracted multiplicity matrices.
+"""
+
+from typing import Iterable
+
+from tropilink.canonical import canonical_form, from_canonical_form
+from tropilink.graphs import ContractionMap, WeightedGraph, contract
+
+
+def weighted_contract(wg: WeightedGraph,
+                      S: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
+    """Contract S and fold the collapsed Betti number into the weights."""
+    S = frozenset(S)
+    g = wg.graph
+    target, cmap = contract(g, S)
+
+    comp_vertices: dict[int, list[int]] = {v: [] for v in target.vertices}
+    for v in g.vertices:
+        comp_vertices[cmap.vertex_map[v]].append(v)
+    comp_edges: dict[int, int] = {v: 0 for v in target.vertices}
+    for key in S:
+        comp_edges[cmap.vertex_map[g.edge_ends(key)[0]]] += 1
+
+    w = {}
+    for vbar in target.vertices:
+        b1_comp = comp_edges[vbar] - len(comp_vertices[vbar]) + 1
+        w[vbar] = b1_comp + sum(wg.weight[v] for v in comp_vertices[vbar])
+    return WeightedGraph(target, w), cmap
+
+
+def _contractions(wg: WeightedGraph):
+    """Every weighted contraction of one edge, one per pair of end
+    vertices: contracting two edges with the same ends gives isomorphic
+    graphs."""
+    g = wg.graph
+    by_ends: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        by_ends.setdefault(g.edge_ends(e), e)
+    for e in by_ends.values():
+        yield weighted_contract(wg, {e})[0]
+
+
+def contraction_closure(keys) -> dict[tuple, set[tuple]]:
+    """Every stratum below the ones with the given keys, by key, mapped to
+    the keys of its one-edge weighted contractions."""
+    targets: dict[tuple, set[tuple] | None] = dict.fromkeys(keys)
+    todo = [(key, from_canonical_form(key)) for key in targets]
+    while todo:
+        key, wg = todo.pop()
+        out = targets[key] = set()
+        for h in _contractions(wg):
+            hkey = canonical_form(h)
+            out.add(hkey)
+            if hkey not in targets:
+                targets[hkey] = None
+                todo.append((hkey, h))
+    return targets

@@ -23,8 +23,10 @@ from functools import lru_cache
 from tropilink.canonical import canonical_form
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, _component_roots, build_graph,
-                              contract, weighted_contract)
+                              contract)
 from tropilink.atlas import regular_counts
+
+from closure_oracle import weighted_contract
 
 
 def _matrices(degrees):

@@ -21,12 +21,13 @@ from tropilink.certificates import (LinkageCertificate, StrongLinkStep,
 from tropilink.connectivity import edge_connectivity_capped, longest_cycle
 from tropilink.graphs import (build_graph, contract, dumps_canonical,
                               dumbbell_graph, genus, petersen_graph,
-                              theta_graph, to_json_dict, weighted_contract)
+                              theta_graph, to_json_dict)
 from tropilink.linkage import link, reduce_to_polygon
 from tropilink.moduli import (build_poset, check_schottky_codim1,
                               connected_through_codim_one)
 from tropilink.normal_form import build_polygon, epsilon, normalize
 
+from closure_oracle import weighted_contract
 from conftest import (b1_of_edge_subset, cli_env, is_hamiltonian,
                       random_connected_multigraph)
 

@@ -4,9 +4,9 @@ from tropilink.atlas import (enumerate_p_regular, enumerate_stable,
                              is_connected_adjacency, move_graph, regular_counts)
 from tropilink.canonical import canonical_form
 from tropilink.connectivity import is_p_regular
-from tropilink.graphs import (GraphError, dumbbell_graph, genus, theta_graph,
-                              weighted_contract)
+from tropilink.graphs import GraphError, dumbbell_graph, genus, theta_graph
 
+from closure_oracle import weighted_contract
 from conftest import loops_at
 
 

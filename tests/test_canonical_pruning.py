@@ -15,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from tropilink import canonical
 from tropilink.atlas import enumerate_p_regular, enumerate_stable
-from tropilink.canonical import (_Canonizer, _profile, are_isomorphic,
-                                 canonical_form, canonical_labeling)
+from tropilink.canonical import (_Canonizer, _profile, _tables,
+                                 are_isomorphic, canonical_form,
+                                 canonical_labeling)
 from tropilink.graphs import (Graph, _as_weighted, build_graph, k4_graph,
                               petersen_graph)
 from tropilink.normal_form import build_polygon
@@ -37,8 +38,9 @@ def _assert_matches_oracle(graphs, seed):
         wg = _as_weighted(obj)
         for g in (wg, shuffled_weighted_copy(wg, rng)):
             for marked in _mark_sets(g.graph, rng):
-                enc, order = _Canonizer(g, frozenset(marked)).run()
-                assert (enc, tuple(order)) == unpruned_labeling(g, marked), \
+                enc, order = _Canonizer(*_tables(g, frozenset(marked))).run()
+                order = tuple(g.graph.vertices[x] for x in order)
+                assert (enc, order) == unpruned_labeling(g, marked), \
                     (g.graph, marked)
 
 

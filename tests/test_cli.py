@@ -485,6 +485,16 @@ def test_check_codim1_undocumented_locus_exits_2():
     assert "unknown locus" in json.loads(r.stdout)["error"]
 
 
+@pytest.mark.parametrize("spelled", ["preg:03", "preg:+3", "preg:3_0", "preg:2"])
+def test_check_codim1_respelled_preg_locus_exits_2(capsys, spelled):
+    # preg:3 is the one spelling of its locus; p < 3 is no locus at all
+    argv = ["check-codim1", "--genus", "3", "--locus"]
+    assert cli.main(argv + [spelled]) == 2
+    assert "unknown locus" in json.loads(capsys.readouterr().out)["error"]
+    assert cli.main(argv + ["preg:3"]) == 0
+    assert json.loads(capsys.readouterr().out)["locus"] == "preg:3"
+
+
 def test_cycle_search_budget_exits_3(tmp_path, monkeypatch, capsys):
     write_graph(tmp_path / "petersen.json", petersen_graph())
     write_graph(tmp_path / "p10.json", build_polygon(3, 10))

@@ -3,22 +3,29 @@
 Class lists must agree key for key, in order; poset covers must equal the
 edge-by-edge recomputation; move graphs must equal the pairwise
 recomputation edge for edge; and a representative must not depend on how
-its class was labeled when it was found.
+its class was labeled when it was found.  The strata closure, which
+contracts canonical keys, must equal the graph-level closure of
+closure_oracle.py key for key and cover for cover.
 """
 
+import contextlib
+import io
 import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropilink.atlas import enumerate_p_regular, enumerate_stable, move_graph
+from tropilink import cli, moduli
+from tropilink.atlas import (_classes, enumerate_p_regular, enumerate_stable,
+                             move_graph)
 from tropilink.canonical import canonical_form, from_canonical_form
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (Graph, WeightedGraph, contract, dumps_canonical,
-                              to_json_dict)
+                              genus, to_json_dict)
 from tropilink.moduli import build_poset
 
+import closure_oracle
 import enumeration_oracle as oracle
 from conftest import random_connected_multigraph
 
@@ -67,6 +74,46 @@ def test_closure_covers_match_recomputation(g, n):
     want = oracle_stable(g, n)
     assert [s.key for s in poset.strata] == keys(want)
     assert poset.covers == oracle.one_edge_covers(want)
+
+
+@pytest.mark.parametrize("g, n", [(g, n) for g in range(6)
+                                  for n in range(6 - g) if 2 * g - 2 + n > 0])
+def test_key_closure_matches_graph_closure(g, n):
+    """Keys and covers equal the graph-level closure's, strata come in key
+    order, and the dimension and genus read off a key are those of the
+    graph rebuilt from it."""
+    want = closure_oracle.contraction_closure(_classes(3, g, "all", n)[0])
+    keys = sorted(want)
+    index = {k: i for i, k in enumerate(keys)}
+    poset = build_poset(g, n)
+    assert [s.key for s in poset.strata] == keys
+    assert poset.covers == sorted((index[k], index[t])
+                                  for k in keys for t in want[k])
+    for s in poset.strata:
+        wg = s.wgraph
+        assert s.dimension == len(wg.graph.edges)
+        assert s.genus == genus(wg) == g
+        assert len(wg.graph.legs) == n
+
+
+def _codim1_graph_builds(monkeypatch, locus):
+    built = []
+
+    def rebuild(key):
+        built.append(key)
+        return from_canonical_form(key)
+
+    monkeypatch.setattr(moduli, "from_canonical_form", rebuild)
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["check-codim1", "--genus", "3", "--locus", locus])
+    assert rc == 0
+    return len(built)
+
+
+def test_check_codim1_builds_stratum_graphs_only_for_3ec(monkeypatch):
+    assert _codim1_graph_builds(monkeypatch, "all") == 0
+    assert _codim1_graph_builds(monkeypatch, "pure") == 0
+    assert _codim1_graph_builds(monkeypatch, "3ec") == 42
 
 
 def _shuffled(obj, rng):

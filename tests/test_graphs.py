@@ -6,8 +6,9 @@ from tropilink.graphs import (Graph, GraphError, WeightedGraph, build_graph,
                               contract, dumbbell_graph, dumps_canonical,
                               from_json_dict, genus, k4_graph, petersen_graph,
                               theta_graph, to_dot, to_json_dict,
-                              underlying_graph, weighted_contract)
+                              underlying_graph)
 
+from closure_oracle import weighted_contract
 from conftest import b1_of_edge_subset, loops_at, random_connected_multigraph
 
 

@@ -131,7 +131,7 @@ def test_three_ec_locus_closed_and_filtered():
         assert edge_connectivity_capped(s.wgraph.graph) == 3
     # downward closed: contracting stays in the locus
     keys = {s.key for s in po.strata}
-    from tropilink.graphs import weighted_contract
+    from closure_oracle import weighted_contract
 
     for s in po.strata:
         for e in s.wgraph.graph.edges:
@@ -161,10 +161,14 @@ def test_locus_rejections():
         build_poset(2, 0, "bogus")
 
 
-@pytest.mark.parametrize("locus", ["three_ec", ("preg", None), ("preg", 3),
-                                   ("3ec", None)])
+@pytest.mark.parametrize("locus", [
+    "three_ec", ("preg", None), ("preg", 3), ("3ec", None),
+    "preg:+3", "preg: 3", "preg:3 ", "preg:03", "preg:\u0663", "preg:3_0",
+    "preg:2", "preg:-1", "preg:0", "preg:",
+])
 def test_only_documented_locus_spellings(locus):
-    # all | pure | 3ec | preg:P; no alias and no pre-parsed tuple
+    # all | pure | 3ec | preg:P with P >= 3 spelled as str() writes it; no
+    # alias and no pre-parsed tuple
     with pytest.raises(GraphError, match="unknown locus"):
         build_poset(3, 0, locus)
 
@@ -179,7 +183,10 @@ def test_poset_exports():
 
 
 def test_pure_dimension_violations_reported_empty():
-    for g, n, locus in [(2, 0, "all"), (3, 0, "3ec"), (2, 1, "all")]:
+    # (4, 0, "3ec") and (5, 0, "3ec"): every 3ec stratum lies below a 3ec
+    # trivalent one there, the lemma `build_poset` does not rely on
+    for g, n, locus in [(2, 0, "all"), (3, 0, "3ec"), (2, 1, "all"),
+                        (4, 0, "3ec"), (5, 0, "3ec")]:
         po = build_poset(g, n, locus)
         assert po.pure_dimension_violations() == []
 
