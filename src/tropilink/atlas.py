@@ -6,12 +6,15 @@ A key is `(colors, rows)`: vertex colours (weight, valency, loop count,
 leg labels, mark) and the upper-triangular multiplicity matrix with loop
 counts on the diagonal.
 
-- **p-regular classes.**  The move is the strong link, on the graph
-  rebuilt from the key: contract a non-loop edge, then split the merged
-  vertex again in every way.  The linkage theorem says the strong-link
-  move graph on p-regular classes of fixed first Betti number is
-  connected, so the closure of a single seed graph reaches every class.
-  The recorded targets are that move graph.
+- **p-regular classes.**  The move is the strong link, on the key
+  itself: merge the rows of the ends of a non-loop edge, one per nonzero
+  off-diagonal entry, then split the merged row into two p-valent ones in
+  every way, by how many of its loops, edges to each neighbour and which
+  legs go to each side.  The linkage theorem says the strong-link move
+  graph on p-regular classes of fixed first Betti number is connected, so
+  the closure of a single seed graph reaches every class.  The recorded
+  targets are that move graph; the graph-level move, which splits over
+  half-edge subsets, is their oracle in the tests.
 - **Moduli strata.**  The move is a one-edge weighted contraction, on the
   key itself, one per nonzero matrix entry.  A loop at i raises i's weight
   by one and lowers its loop count by one and its valency by two.  An i-j
@@ -30,11 +33,12 @@ this engine is kept in the tests as its independent oracle.
 
 from __future__ import annotations
 
+from itertools import combinations, product
+
 from .canonical import _Canonizer, canonical_form, from_canonical_form
 from .connectivity import edge_connectivity_capped
 from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
-                     build_graph, contract)
-from .hamiltonize import vertex_splits
+                     build_graph)
 
 
 def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
@@ -86,32 +90,90 @@ def _closure(seeds, move) -> dict[tuple, set[tuple]]:
     return targets
 
 
+def _adjacency(rows) -> list[dict[int, int]]:
+    """A key's neighbour multiplicities, as the canonizer takes them:
+    adj[x][y] = number of x-y edges, x != y, zero entries left out."""
+    adj: list[dict[int, int]] = [{} for _ in rows]
+    for i, row in enumerate(rows):
+        for j, m in enumerate(row[1:], i + 1):
+            if m:
+                adj[i][j] = adj[j][i] = m
+    return adj
+
+
 def _strong_links(key: tuple):
-    """The key of every class one strong link away: contract a non-loop
-    edge, one per pair of end vertices, then split the merged vertex with
-    its first half-edge on the old side."""
-    g = from_canonical_form(key).graph
-    by_ends: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        ends = g.edge_ends(e)
-        if ends[0] != ends[1]:
-            by_ends.setdefault(ends, e)
-    for e in by_ends.values():
-        mid, cmap = contract(g, {e})
-        w = cmap.image_vertex(e)
-        for split, _ in vertex_splits(mid, w, mid.half_edges_at(w)[:1], ()):
-            yield canonical_form(split)
+    """The key of every class one strong link away from the p-regular class
+    with this key: contract a non-loop edge, one per pair of end vertices,
+    then split the merged vertex into two p-valent ones in every way.
+
+    A split sends ll of the merged vertex's loops left and rr right, makes
+    lr of them edges between the two sides, and sends a set of its legs
+    and k[y] of its m[y] edges to each neighbour y left.  Parallel edges,
+    the two halves of a loop and distinct loops are interchangeable, so
+    these counts reach the classes that half-edge subsets reach.  The two
+    sides are alike (weight 0, valency p, unmarked), so a split and its
+    mirror give one class and only the lesser is searched.  The split that
+    puts the contracted edge's ends back rebuilds the source class, whose
+    key is known without a search."""
+    colors, rows = key
+    adj = _adjacency(rows)
+    for i, j in [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if j > i]:
+        c, a = _merge(colors, adj, i, j)
+        _, val, nl, legs, _ = c[i]
+        half = val // 2  # p - 1 half-edges go to each side
+        ys = sorted(a[i])
+        ms = [a[i][y] for y in ys]
+
+        def mirror(ll, left, k, lr):
+            return (nl - ll - lr, tuple(x for x in legs if x not in left),
+                    tuple(m - x for m, x in zip(ms, k)))
+
+        undo = (colors[i][2], colors[i][3],
+                tuple(adj[i].get(y + (y >= j), 0) for y in ys))
+        source = min(undo, mirror(*undo, adj[i][j] - 1))
+        for k in product(*(range(m + 1) for m in ms)):
+            free = half - sum(k)
+            for ll in range(nl + 1):
+                for size in range(len(legs) + 1):
+                    lr = free - 2 * ll - size
+                    if not 0 <= lr <= nl - ll:
+                        continue
+                    for left in combinations(legs, size):
+                        split = (ll, left, k)
+                        if split == source:
+                            yield key
+                            continue
+                        other = mirror(ll, left, k, lr)
+                        if split <= other:
+                            yield _split(c, a, i, ys, split, other, lr)
+
+
+def _split(colors, adj, i, ys, left, right, lr):
+    """Canonical key after splitting vertex i of the tables into i and a
+    new last vertex, joined by 1 + lr edges; each side is (loops, legs,
+    edge count per neighbour in ys)."""
+    n, p = len(colors), colors[i][1] // 2 + 1
+    c = list(colors)
+    c[i] = (0, p, left[0], left[1], False)
+    c.append((0, p, right[0], right[1], False))
+    a = list(adj)
+    a[i] = {n: 1 + lr}
+    a.append({i: 1 + lr})
+    for y, kl, kr in zip(ys, left[2], right[2]):
+        a[y] = row = dict(adj[y])
+        del row[i]
+        if kl:
+            a[i][y] = row[i] = kl
+        if kr:
+            a[n][y] = row[n] = kr
+    return _Canonizer(c, a).run()[0]
 
 
 def _contractions(key: tuple):
     """The key of every one-edge weighted contraction of the stratum with
     this key, one per nonzero matrix entry."""
     colors, rows = key
-    adj: list[dict[int, int]] = [{} for _ in rows]
-    for i, row in enumerate(rows):
-        for j, m in enumerate(row[1:], i + 1):
-            if m:
-                adj[i][j] = adj[j][i] = m
+    adj = _adjacency(rows)
     for i, (w, val, nl, legs, _) in enumerate(colors):
         if nl:
             c = list(colors)

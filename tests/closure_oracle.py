@@ -1,16 +1,40 @@
-"""The graph-level strata closure: the oracle for `atlas.contraction_closure`,
-which contracts canonical keys.
+"""The graph-level closure moves: the oracles for the moves of
+`tropilink.atlas`, which work on canonical keys.
 
-Every stratum is a weighted graph, one edge per pair of end vertices is
-contracted with `weighted_contract`, and each result is canonicalized
-through `canonical_form`.  This is how the library closed strata before it
-contracted multiplicity matrices.
+- **Strata.**  Every stratum is a weighted graph, one edge per pair of end
+  vertices is contracted with `weighted_contract`, and each result is
+  canonicalized through `canonical_form`.  This is how the library closed
+  strata before it contracted multiplicity matrices.
+- **Strong links.**  `strong_links` rebuilds the graph of a key, contracts
+  one non-loop edge per pair of end vertices with `graphs.contract`, splits
+  the merged vertex over half-edge subsets with
+  `hamiltonize.vertex_splits`, and canonicalizes every split.  This is how
+  the library enumerated p-regular classes before it split merged rows by
+  multiplicities.
 """
 
 from typing import Iterable
 
 from tropilink.canonical import canonical_form, from_canonical_form
 from tropilink.graphs import ContractionMap, WeightedGraph, contract
+from tropilink.hamiltonize import vertex_splits
+
+
+def strong_links(key: tuple):
+    """The key of every class one strong link away: contract a non-loop
+    edge, one per pair of end vertices, then split the merged vertex with
+    its first half-edge on the old side."""
+    g = from_canonical_form(key).graph
+    by_ends: dict[tuple[int, int], int] = {}
+    for e in g.edges:
+        ends = g.edge_ends(e)
+        if ends[0] != ends[1]:
+            by_ends.setdefault(ends, e)
+    for e in by_ends.values():
+        mid, cmap = contract(g, {e})
+        w = cmap.image_vertex(e)
+        for split, _ in vertex_splits(mid, w, mid.half_edges_at(w)[:1], ()):
+            yield canonical_form(split)
 
 
 def weighted_contract(wg: WeightedGraph,

@@ -5,24 +5,28 @@ edge-by-edge recomputation; move graphs must equal the pairwise
 recomputation edge for edge; and a representative must not depend on how
 its class was labeled when it was found.  The strata closure, which
 contracts canonical keys, must equal the graph-level closure of
-closure_oracle.py key for key and cover for cover.
+closure_oracle.py key for key and cover for cover; the strong-link move,
+which splits merged rows of canonical keys, must reach the targets of the
+graph-level move of closure_oracle.py from every class.
 """
 
 import contextlib
 import io
 import random
+import sys
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tropilink import cli, moduli
-from tropilink.atlas import (_classes, enumerate_p_regular, enumerate_stable,
-                             move_graph)
+from tropilink import atlas, canonical, cli, graphs, moduli
+from tropilink.atlas import (_classes, _closure, _seed, _strong_links,
+                             enumerate_p_regular, enumerate_stable, move_graph,
+                             regular_counts)
 from tropilink.canonical import canonical_form, from_canonical_form
 from tropilink.connectivity import edge_connectivity_capped
-from tropilink.graphs import (Graph, WeightedGraph, contract, dumps_canonical,
-                              genus, to_json_dict)
+from tropilink.graphs import (Graph, WeightedGraph, build_graph, contract,
+                              dumps_canonical, genus, to_json_dict)
 from tropilink.moduli import build_poset
 
 import closure_oracle
@@ -114,6 +118,109 @@ def test_check_codim1_builds_stratum_graphs_only_for_3ec(monkeypatch):
     assert _codim1_graph_builds(monkeypatch, "all") == 0
     assert _codim1_graph_builds(monkeypatch, "pure") == 0
     assert _codim1_graph_builds(monkeypatch, "3ec") == 42
+
+
+STRONG_LINK_POINTS = [
+    (3, 2, 0), (3, 3, 0), (3, 4, 0), (3, 5, 0),
+    (4, 2, 0), (4, 3, 0), (4, 4, 0), (4, 5, 0),
+    (3, 3, 1), (3, 2, 2), (3, 3, 2), (3, 4, 1), (3, 2, 3), (3, 1, 3),
+    (3, 0, 4), (4, 3, 2), (5, 4, 0),
+]
+
+
+def _seed_key(p, b, legs):
+    return canonical_form(_seed(p, regular_counts(p, b, legs)[0], legs))
+
+
+@pytest.mark.parametrize("p, b, legs", STRONG_LINK_POINTS)
+def test_key_strong_links_match_graph_move(p, b, legs):
+    """Every class's targets, self-links included, equal the graph-level
+    move's."""
+    seed = _seed_key(p, b, legs)
+    assert _closure([seed], _strong_links) == \
+        _closure([seed], closure_oracle.strong_links)
+
+
+def _random_regular(rng, p, nv, legs):
+    """A random connected p-regular multigraph on nv vertices with legs
+    1..legs: the p slots of every vertex shuffled, legs on the first ones,
+    the rest paired in turn, drawn again until connected."""
+    while True:
+        slots = [v for v in range(nv) for _ in range(p)]
+        rng.shuffle(slots)
+        rest = slots[legs:]
+        edges = list(zip(rest[::2], rest[1::2]))
+        if len(set(graphs._component_roots(range(nv), edges).values())) == 1:
+            return build_graph(edges, legs=zip(slots, range(1, legs + 1)),
+                               isolated=range(nv))
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**9), st.integers(3, 5), st.integers(1, 6),
+       st.integers(0, 4))
+def test_key_strong_links_match_graph_move_random(seed, p, nv, legs):
+    legs = min(legs, p * nv)
+    legs += (p * nv - legs) % 2
+    key = canonical_form(_random_regular(random.Random(seed), p, nv, legs))
+    assert set(_strong_links(key)) == set(closure_oracle.strong_links(key))
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("the key closure called a graph-level move")
+
+
+def _closure_graph_builds(monkeypatch, argv):
+    """Graphs constructed inside `atlas._classes` while the CLI runs."""
+    inside, built = [False], []
+    classes, init = atlas._classes, Graph.__init__
+
+    def counted_classes(*args):
+        inside[0] = True
+        try:
+            return classes(*args)
+        finally:
+            inside[0] = False
+
+    def counted_init(self, *args, **kwargs):
+        if inside[0]:
+            built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(atlas, "_classes", counted_classes)
+    monkeypatch.setattr(Graph, "__init__", counted_init)
+    monkeypatch.setattr(graphs, "contract", _forbidden)
+    # tropilink.hamiltonize is the function; the module is in sys.modules
+    monkeypatch.setattr(sys.modules["tropilink.hamiltonize"], "vertex_splits",
+                        _forbidden)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    return len(built)
+
+
+@pytest.mark.parametrize("command", ["enumerate", "movegraph"])
+def test_strong_link_closure_builds_only_the_seed_graph(monkeypatch, command):
+    assert not hasattr(atlas, "contract")
+    assert not hasattr(atlas, "vertex_splits")
+    argv = [command, "--p", "3", "--genus", "4"]
+    assert _closure_graph_builds(monkeypatch, argv) == 1
+
+
+def test_key_strong_links_halve_the_canonical_searches(monkeypatch):
+    runs = []
+    run = canonical._Canonizer.run
+
+    def counted(self):
+        runs.append(self)
+        return run(self)
+
+    monkeypatch.setattr(canonical._Canonizer, "run", counted)
+    seed = _seed_key(3, 5, 0)
+    searches = []
+    for move in (_strong_links, closure_oracle.strong_links):
+        runs.clear()
+        assert len(_closure([seed], move)) == 71
+        searches.append(len(runs))
+    assert searches[0] < searches[1] / 2
 
 
 def _shuffled(obj, rng):

@@ -4,7 +4,9 @@ Every public top-level function or class of src/tropilink/*.py must be
 referenced by the package's code outside its own definition (another
 function, a class, a module-level statement; `__init__.py`, which only
 re-exports, does not count), be declared in its module's `__all__`, or be
-one of the library entry points listed below.  Helpers that only tests
+one of the library entry points listed below.  A reference is a name, an
+imported name, or an attribute of a package module the file imports
+(`moduli.build_poset`); a method or property of the same name is not one.  Helpers that only tests
 call live in tests/ (conftest.py and the *_oracle.py modules), so they
 cannot grow back into src/.
 """
@@ -18,16 +20,28 @@ PACKAGE = pathlib.Path(tropilink.__file__).parent
 
 # Constructors and checks offered to library callers that no module calls.
 ENTRY_POINTS = {"theta_graph", "dumbbell_graph", "k4_graph", "cycle_graph",
-                "petersen_graph", "enumerate_stable", "check_schottky_codim1"}
+                "petersen_graph", "enumerate_stable", "check_schottky_codim1",
+                "genus"}
 
 
-def _names_used(node) -> set[str]:
-    """Identifiers node reads: names, attributes and imported names."""
+def _package_modules(tree) -> set[str]:
+    """Names the file binds to modules of the package (`from . import m`)."""
+    return {alias.asname or alias.name for stmt in tree.body
+            if isinstance(stmt, ast.ImportFrom) and stmt.level
+            and stmt.module is None for alias in stmt.names}
+
+
+def _names_used(node, modules) -> set[str]:
+    """Identifiers node reads: names, imported names, and attributes of the
+    package modules in `modules` (`moduli.build_poset`).  An attribute of
+    anything else, such as the property `Stratum.genus`, is not a use of
+    the top-level name it shares."""
     found = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             found.add(sub.id)
-        elif isinstance(sub, ast.Attribute):
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in modules):
             found.add(sub.attr)
         elif isinstance(sub, ast.ImportFrom):
             found.update(alias.name for alias in sub.names)
@@ -51,15 +65,16 @@ def _surface():
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
+        modules = _package_modules(tree)
         used |= _declared_all(tree)
         for stmt in tree.body:
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
                 public[f"{path.stem}.{stmt.name}"] = stmt
                 # a definition does not use itself (recursion included)
-                used |= _names_used(stmt) - {stmt.name}
+                used |= _names_used(stmt, modules) - {stmt.name}
             else:
-                used |= _names_used(stmt)
+                used |= _names_used(stmt, modules)
     return public, used
 
 
