@@ -156,7 +156,9 @@ class VerificationReport:
 
 
 def _check_witness(problems, idx, left, left_edge, right, right_edge,
-                   witness):
+                   witness) -> Graph:
+    """Append the first fault of the witness of step idx to problems, if
+    any; return the left contraction, which 3ec mode checks as well."""
     mid_l, cm_l = contract(left, {left_edge})
     mid_r, cm_r = contract(right, {right_edge})
     alpha_v, alpha_e, alpha_l = witness
@@ -165,17 +167,17 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
             sorted(alpha_v.values()) != list(mid_l.vertices):
         problems.append((idx, "witness_vertices",
                          "vertex map is not a bijection onto the left contraction"))
-        return
+        return mid_l
     if set(alpha_e) != set(mid_r.edges) or \
             sorted(alpha_e.values()) != list(mid_l.edges):
         problems.append((idx, "witness_edges",
                          "edge map is not a bijection onto the left contraction"))
-        return
+        return mid_l
     if set(alpha_l) != set(mid_r.legs) or \
             sorted(alpha_l.values()) != list(mid_l.legs):
         problems.append((idx, "witness_legs",
                          "leg map is not a bijection onto the left contraction"))
-        return
+        return mid_l
 
     for e in mid_r.edges:
         a, b = mid_r.edge_ends(e)
@@ -184,20 +186,21 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
         if mid_l.edge_ends(alpha_e[e]) != want:
             problems.append((idx, "witness_endpoints",
                              f"edge {e} maps to {alpha_e[e]} with wrong endpoints"))
-            return
+            return mid_l
     for h in mid_r.legs:
         if mid_l.endpoint[alpha_l[h]] != alpha_v[mid_r.endpoint[h]]:
             problems.append((idx, "witness_leg_endpoints",
                              f"leg {h} maps to a leg at the wrong vertex"))
-            return
+            return mid_l
         if mid_l.leg_labels[alpha_l[h]] != mid_r.leg_labels[h]:
             problems.append((idx, "witness_leg_labels",
                              f"leg {h} maps to a differently labeled leg"))
-            return
+            return mid_l
 
     if alpha_v[cm_r.image_vertex(right_edge)] != cm_l.image_vertex(left_edge):
         problems.append((idx, "marked_vertex",
                          "witness does not match the contracted-vertex images"))
+    return mid_l
 
 
 def _check_cert_cycles(problems, idx, graph, edge, cycles):
@@ -288,13 +291,11 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
                 ok = False
         if not ok:
             continue
-        _check_witness(problems, i, left, step.left_edge, right,
-                       step.right_edge, step.witness)
-        if mode == "3ec":
-            mid, _ = contract(left, {step.left_edge})
-            if edge_connectivity_capped(mid) != 3:
-                problems.append((i, "three_ec",
-                                 f"middle graph of step {i} is not 3-edge-connected"))
+        mid = _check_witness(problems, i, left, step.left_edge, right,
+                             step.right_edge, step.witness)
+        if mode == "3ec" and edge_connectivity_capped(mid) != 3:
+            problems.append((i, "three_ec",
+                             f"middle graph of step {i} is not 3-edge-connected"))
         if step.cert_cycles is not None:
             _check_cert_cycles(problems, i, right, step.right_edge,
                                step.cert_cycles)

@@ -11,13 +11,16 @@ forming the edge.  Legs are referenced by their half-edge id.  Contraction
 keeps the ids of everything it does not touch, so edge keys survive through
 contraction maps; this is what makes transformation certificates auditable.
 
-All values are immutable after construction; every operation returns fresh
-objects.
+All values are immutable after construction.  Derived graphs (a
+contraction, a re-attachment) share the immutable parts of their source,
+such as the leg tuple, the leg labels and the half-edge lists of untouched
+vertices, so nothing may mutate a graph's dicts.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
@@ -72,7 +75,7 @@ class Graph:
             if v not in vset:
                 raise GraphError(f"half-edge {h} attached to unknown vertex {v}")
 
-        legs = tuple(sorted(h for h in hs if inv[h] == h))
+        legs = tuple(h for h in hs if inv[h] == h)
         labels = dict(leg_labels) if leg_labels else {}
         if set(labels) != set(legs):
             raise GraphError("leg labels must cover exactly the legs")
@@ -85,15 +88,35 @@ class Graph:
         self.endpoint = ep
         self.leg_labels = labels
         self.legs = legs
-        self.edges = tuple(sorted(h for h in hs if inv[h] > h))
+        self.edges = tuple(h for h in hs if inv[h] > h)
+        # hs is sorted, so every list is built sorted
         at: dict[int, list[int]] = {v: [] for v in vs}
         for h in hs:
             at[ep[h]].append(h)
-        self._at_vertex = {v: tuple(sorted(at[v])) for v in vs}
+        self._at_vertex = {v: tuple(at[v]) for v in vs}
         self._canon_cache: dict = {}
 
         if not self._connected():
             raise GraphError("graph is not connected")
+
+    @classmethod
+    def _derived(cls, vertices, half_edges, involution, endpoint, leg_labels,
+                 edges, legs, at_vertex) -> "Graph":
+        """A graph from slots its caller has proved valid and connected;
+        nothing is checked or copied.  Only derivations of a valid graph
+        that argue their result valid (`contract`, `with_endpoints`) may
+        call it."""
+        g = object.__new__(cls)
+        g.vertices = vertices
+        g.half_edges = half_edges
+        g.involution = involution
+        g.endpoint = endpoint
+        g.leg_labels = leg_labels
+        g.edges = edges
+        g.legs = legs
+        g._at_vertex = at_vertex
+        g._canon_cache = {}
+        return g
 
     # -- basic accessors ---------------------------------------------------
 
@@ -172,7 +195,13 @@ class Graph:
         )
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._key() == other._key()
+        # dict equality ignores order, so this agrees with comparing _key()
+        return self is other or (
+            isinstance(other, Graph)
+            and self.vertices == other.vertices
+            and self.involution == other.involution
+            and self.endpoint == other.endpoint
+            and self.leg_labels == other.leg_labels)
 
     def __hash__(self):
         return hash(self._key())
@@ -186,11 +215,33 @@ class Graph:
     # -- derived copies ----------------------------------------------------
 
     def with_endpoints(self, reassign: Mapping[int, int]) -> "Graph":
-        """Fresh graph with some half-edges re-attached to other vertices."""
+        """The graph with some half-edges re-attached to other vertices.
+
+        Only the endpoints and the half-edge lists of the vertices a moved
+        half-edge leaves or joins are rebuilt; everything else is shared.
+        The half-edges and vertices must be known, and the result must be
+        connected (a re-attachment can disconnect a graph), else
+        GraphError."""
         ep = dict(self.endpoint)
+        if not ep.keys() >= reassign.keys():
+            raise GraphError("endpoint map must cover exactly the half-edges")
+        at = dict(self._at_vertex)
+        touched = set()
         for h, v in reassign.items():
+            if v not in at:
+                raise GraphError(f"half-edge {h} attached to unknown vertex {v}")
+            touched.add(ep[h])
+            touched.add(v)
             ep[h] = v
-        return Graph(self.vertices, self.involution, ep, self.leg_labels)
+        for u in touched:
+            at[u] = tuple(sorted(
+                [h for h in at[u] if h not in reassign]
+                + [h for h, v in reassign.items() if v == u]))
+        g = Graph._derived(self.vertices, self.half_edges, self.involution,
+                           ep, self.leg_labels, self.edges, self.legs, at)
+        if not g._connected():
+            raise GraphError("graph is not connected")
+        return g
 
 
 class WeightedGraph:
@@ -368,22 +419,69 @@ class ContractionMap:
         return self.vertex_map[self.source.edge_ends(key)[0]]
 
 
+def _without(items: tuple, drop: list) -> tuple:
+    """The sorted tuple items less drop, a sorted list of some of its
+    members, found by bisection."""
+    pieces, i = [], 0
+    for x in drop:
+        j = bisect_left(items, x, i)
+        pieces.append(items[i:j])
+        i = j + 1
+    pieces.append(items[i:])
+    return tuple(chain.from_iterable(pieces))
+
+
 def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
-    """Collapse the edges in S, leaving everything else unchanged."""
+    """Collapse the edges in S, leaving everything else unchanged.
+
+    Besides copying the maps and tuples of g, the work is proportional to
+    what changes.  Each component of (V, S) becomes its least vertex, its
+    root.  Only the half-edges at a merged vertex are re-pointed, and only
+    the roots' half-edge lists are rebuilt; legs and leg labels are shared
+    with g.
+
+    The target is built without re-validation, which is sound because g is
+    a valid connected graph:
+    - the involution restricted to a union of its orbits (every half-edge
+      but the two of each edge in S) is an involution;
+    - every endpoint is the root of the old endpoint's component, and every
+      root is a vertex of the target;
+    - S holds edges only, so no leg is consumed and the legs and their
+      distinct labels are those of g;
+    - contracting edges of a connected graph leaves it connected.
+    """
     S = frozenset(S)
-    bad = S - set(g.edges)
+    inv = g.involution
+    bad = [key for key in S if not (key in inv and inv[key] > key)]
     if bad:
         raise GraphError(f"not contractible edges (legs or unknown keys): {sorted(bad)}")
 
-    vmap = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
-    new_vertices = sorted(set(vmap.values()))
+    ends = [g.edge_ends(key) for key in S]
+    roots = _component_roots(set(chain.from_iterable(ends)), ends)
+    vmap = dict(zip(g.vertices, g.vertices))
+    vmap.update(roots)
+    merged = sorted(v for v, r in roots.items() if r != v)
+    keys = sorted(S)
+    drop = sorted(chain(keys, (inv[key] for key in keys)))
 
-    drop = set()
-    for key in S:
-        drop.update(g.edge_halves(key))
-    inv = {h: p for h, p in g.involution.items() if h not in drop}
-    ep = {h: vmap[g.endpoint[h]] for h in inv}
-    target = Graph(new_vertices, inv, ep, g.leg_labels)
+    inv, ep, at = dict(inv), dict(g.endpoint), dict(g._at_vertex)
+    for h in drop:
+        del inv[h]
+        del ep[h]
+    dropped = set(drop)
+    halves: dict[int, list[int]] = {r: [] for r in roots.values()}
+    for v, r in roots.items():
+        kept = [h for h in at.pop(v) if h not in dropped]
+        if v != r:
+            for h in kept:
+                ep[h] = r
+        halves[r] += kept
+    for r, hs in halves.items():
+        at[r] = tuple(sorted(hs))
+
+    target = Graph._derived(_without(g.vertices, merged),
+                            _without(g.half_edges, drop), inv, ep,
+                            g.leg_labels, _without(g.edges, keys), g.legs, at)
     return target, ContractionMap(g, S, vmap)
 
 

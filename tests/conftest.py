@@ -1,5 +1,8 @@
+import importlib
 import os
+import pathlib
 import random
+import sys
 
 import pytest
 
@@ -20,6 +23,18 @@ def cli_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = root + (os.pathsep + rest if rest else "")
     return env
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def perfbench_module(name: str):
+    """A module of the benchmark's perfbench/ directory.  Its input
+    generators and its oracle import nothing of tropilink, so tests can use
+    them as independent references."""
+    if str(PERFBENCH) not in sys.path:
+        sys.path.insert(0, str(PERFBENCH))
+    return importlib.import_module(name)
 
 
 def is_hamiltonian(g, budget=None) -> bool:

@@ -1,0 +1,112 @@
+"""`verify` against an independent checker, on value mutations.
+
+`perfbench/oracle.py` checks certificates with its own contraction code and
+networkx isomorphism and imports nothing of tropilink.  Each mutation below
+keeps the certificate loadable (it replaces an integer by another existing
+id), so it tests the verdict, not the loader: `verify` must exit 0 exactly
+when the oracle finds no fault, and 1 otherwise.  The mutation classes are
+- a witness vertex, edge or leg entry pointed at another id;
+- two entries of one witness map swapped;
+- `left_edge` or `right_edge` set to another existing edge.
+Positions are drawn by a fixed seed.  The certificates are plain (acceptance
+criterion 1 and a seeded 14-vertex cubic pair), 3ec (Petersen to P10) and
+legged (criterion 6).
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+
+from tropilink import cli
+from tropilink.atlas import enumerate_p_regular
+from tropilink.certificates import certificate_to_json_dict
+from tropilink.graphs import build_graph, petersen_graph
+from tropilink.linkage import link
+from tropilink.normal_form import build_polygon
+
+from conftest import perfbench_module
+
+PER_CLASS = 20   # mutations of each class on each certificate
+
+
+def _certificates():
+    plain = enumerate_p_regular(3, 3)
+    legged = enumerate_p_regular(3, 2, legs=2)
+    rng = random.Random(14)
+    inputs = perfbench_module("inputs")
+    pair = [build_graph(edges, isolated=range(n)) for n, edges, _ in
+            (inputs.random_regular(rng, 14, 3, simple=True) for _ in "ab")]
+    return [link(plain[0], plain[-1]),
+            link(*pair),
+            link(petersen_graph(), build_polygon(3, 10), "3ec"),
+            link(legged[0], legged[-1])]
+
+
+def _ids(graph: dict, kind: str) -> list:
+    """The vertex ids, edge keys or leg half-edges of a graph document."""
+    if kind == "vertices":
+        return [v["id"] for v in graph["vertices"]]
+    if kind == "edges":
+        return [h["id"] for h in graph["half_edges"] if h["partner"] > h["id"]]
+    return [leg["half_edge"] for leg in graph["legs"]]
+
+
+def _mutated(doc, cls: str, rng: random.Random) -> dict:
+    """A copy of doc with one step mutated by the class cls."""
+    d = copy.deepcopy(doc)
+    i = rng.randrange(len(d["steps"]))
+    step = d["steps"][i]
+    if cls == "step_edge":
+        side = rng.choice(["left", "right"])
+        old = step[side + "_edge"]
+        step[side + "_edge"] = rng.choice(
+            [e for e in _ids(d["graphs"][i + (side == "right")], "edges")
+             if e != old])
+        return d
+    kind = rng.choice([k for k in sorted(step["witness"])
+                       if len(step["witness"][k]) >= 2])
+    m = step["witness"][kind]
+    a, b = rng.sample(sorted(m), 2)
+    if cls == "witness_swap":
+        m[a], m[b] = m[b], m[a]
+    else:
+        # another id of the same kind in the left graph, which may be one
+        # the contraction removed
+        m[a] = rng.choice([x for x in _ids(d["graphs"][i], kind) if x != m[a]])
+    return d
+
+
+def _verify(workdir, doc) -> int:
+    path = workdir / "cert.json"
+    path.write_text(json.dumps(doc))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        rc = cli.main(["verify", str(path)])
+    assert json.loads(out.getvalue())["valid"] is (rc == 0)
+    return rc
+
+
+def test_verify_verdicts_equal_the_oracle_on_value_mutations(tmp_path):
+    oracle = perfbench_module("oracle")
+    rng = random.Random(20100701)
+    rejected = {}
+    for doc in map(certificate_to_json_dict, _certificates()):
+        first, last = (oracle.G.from_json(doc["graphs"][k]) for k in (0, -1))
+
+        def faults(d):
+            return oracle.check_certificate(d, first, last, doc["mode"],
+                                            doc["p"])
+
+        assert faults(doc) == [] and _verify(tmp_path, doc) == 0
+        for cls in ("witness_target", "witness_swap", "step_edge"):
+            for _ in range(PER_CLASS):
+                d = _mutated(doc, cls, rng)
+                rc = _verify(tmp_path, d)
+                assert rc in (0, 1), (cls, rc)
+                found = faults(d)
+                assert (rc == 0) == (not found), (cls, rc, found)
+                rejected[cls] = rejected.get(cls, 0) + (rc == 1)
+    assert len(rejected) == 3 and all(rejected.values()), rejected
