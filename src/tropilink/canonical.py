@@ -191,16 +191,9 @@ def canonical_labeling(
     Equal encodings <=> isomorphic (weights, marks and leg labels respected).
     """
     wg = _as_weighted(obj)
-    marked = frozenset(marked)
-    cache = wg.graph._canon_cache
-    key = (marked, tuple(sorted(wg.weight.items())))
-    hit = cache.get(key)
-    if hit is None:
-        verts = wg.graph.vertices
-        enc, order = _Canonizer(*_tables(wg, marked)).run()
-        hit = (enc, tuple(verts[x] for x in order))
-        cache[key] = hit
-    return hit
+    enc, order = _Canonizer(*_tables(wg, frozenset(marked))).run()
+    verts = wg.graph.vertices
+    return enc, tuple(verts[x] for x in order)
 
 
 def canonical_form(obj, *, marked: Iterable[int] = ()) -> tuple:

@@ -113,13 +113,6 @@ class LinkageCertificate:
         self.mode = mode
         self.p = p
 
-    def reversed(self) -> "LinkageCertificate":
-        return LinkageCertificate(
-            list(reversed(self.graphs)),
-            [s.reversed() for s in reversed(self.steps)],
-            self.mode, self.p,
-        )
-
     def __repr__(self):
         return (f"LinkageCertificate(mode={self.mode}, p={self.p}, "
                 f"graphs={len(self.graphs)}, steps={len(self.steps)})")

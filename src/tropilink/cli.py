@@ -29,13 +29,19 @@ from .linkage import link
 from .normal_form import build_polygon
 
 
-def _load_graph(path: str):
+def _read_json(path: str, what: str):
+    """The JSON document in a UTF-8 file (RFC 8259).  A file that cannot be
+    opened, decoded or parsed (nesting too deep, an integer past the
+    interpreter's digit limit) is malformed input."""
     try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot read graph file {path}: {exc}") from exc
-    return underlying_graph(from_json_dict(data))
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise GraphError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_graph(path: str):
+    return underlying_graph(from_json_dict(_read_json(path, "graph file")))
 
 
 def _emit(text: str, out: str | None):
@@ -63,11 +69,7 @@ def _cmd_link(args) -> int:
 def _cmd_verify(args) -> int:
     if args.p is not None and args.p < 3:
         raise GraphError(f"--p must be >= 3, got {args.p}")
-    try:
-        with open(args.cert) as fh:
-            cert = certificate_from_json_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphError(f"cannot read certificate {args.cert}: {exc}") from exc
+    cert = certificate_from_json_dict(_read_json(args.cert, "certificate"))
     report = verify_certificate(cert, p=args.p, mode=args.mode)
     sys.stdout.write(dumps_canonical(report.to_json_dict()))
     return 0 if report.valid else 1

@@ -54,13 +54,6 @@ class Cycle:
         return f"Cycle(len={self.length}, vertices={self.vertices})"
 
 
-def is_p_regular(g: Graph, p: int) -> bool:
-    """Every vertex has valency p; legs count once, loops twice."""
-    if p < 1:
-        raise GraphError("p must be >= 1")
-    return all(g.valency(v) == p for v in g.vertices)
-
-
 def edge_connectivity_capped(g: Graph) -> int:
     """min(lambda, 3) for the edge connectivity lambda of g: 1 if g has a
     bridge, 2 if some two edges disconnect it, 3 otherwise (a one-vertex

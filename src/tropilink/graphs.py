@@ -47,7 +47,6 @@ class Graph:
         "edges",
         "legs",
         "_at_vertex",
-        "_canon_cache",
     )
 
     def __init__(
@@ -94,7 +93,6 @@ class Graph:
         for h in hs:
             at[ep[h]].append(h)
         self._at_vertex = {v: tuple(at[v]) for v in vs}
-        self._canon_cache: dict = {}
 
         if not self._connected():
             raise GraphError("graph is not connected")
@@ -115,7 +113,6 @@ class Graph:
         g.edges = edges
         g.legs = legs
         g._at_vertex = at_vertex
-        g._canon_cache = {}
         return g
 
     # -- basic accessors ---------------------------------------------------

@@ -11,7 +11,7 @@ p-hamiltonian graph without short chords.
 
 from __future__ import annotations
 
-from .connectivity import Cycle, is_p_regular, longest_cycle
+from .connectivity import Cycle, longest_cycle
 from .graphs import Graph, GraphError, InternalConsistencyError, build_graph
 
 
@@ -186,6 +186,6 @@ def build_polygon(p: int, gamma: int) -> Graph:
         for i in range(gamma):
             edges.extend([(i, (i + step) % gamma)] * r)
     g = build_graph(edges)
-    if not is_p_regular(g, p):
+    if g.is_regular() != p:
         raise InternalConsistencyError("polygon construction is not p-regular")
     return g

@@ -3,7 +3,6 @@ import pytest
 from tropilink.atlas import (enumerate_p_regular, enumerate_stable,
                              is_connected_adjacency, move_graph, regular_counts)
 from tropilink.canonical import canonical_form
-from tropilink.connectivity import is_p_regular
 from tropilink.graphs import GraphError, dumbbell_graph, genus, theta_graph
 
 from closure_oracle import weighted_contract
@@ -58,7 +57,7 @@ def test_remark_count_invariants():
     for p, b in [(3, 2), (3, 3), (3, 4), (4, 3)]:
         nv, ne = regular_counts(p, b)
         for g in enumerate_p_regular(p, b):
-            assert is_p_regular(g, p)
+            assert g.is_regular() == p
             assert len(g.vertices) == nv == (2 * b - 2) // (p - 2)
             assert len(g.edges) == ne == p * (b - 1) // (p - 2)
             assert 2 * len(g.edges) == p * len(g.vertices)

@@ -170,6 +170,45 @@ def test_malformed_input_gives_json_error(tmp_path):
     assert "error" in json.loads(r2.stdout)
 
 
+UNREADABLE = {
+    "deep-array": b"[" * 200_000 + b"]" * 200_000,
+    "not-utf8": b'"\xff\xfe"',
+    "long-integer": b"1" * 5000,
+}
+
+
+def _unreadable_argv(tmp_path, command, content):
+    """argv running `command` on a file holding `content`."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    if command == "verify":
+        return ["verify", str(bad)]
+    write_graph(tmp_path / "theta.json", theta_graph())
+    return ["link", str(bad), str(tmp_path / "theta.json")]
+
+
+@pytest.mark.parametrize("command", ["link", "verify"])
+@pytest.mark.parametrize("kind", sorted(UNREADABLE))
+def test_unreadable_input_file_exits_2(tmp_path, capsys, command, kind):
+    """A file too deep to parse, not UTF-8, or holding an integer past the
+    interpreter's digit limit cannot be read: malformed input, exit 2."""
+    argv = _unreadable_argv(tmp_path, command, UNREADABLE[kind])
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and "cannot read" in doc["error"]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["link", "verify"])
+def test_deep_input_file_exits_2_in_a_fresh_interpreter(tmp_path, command):
+    argv = _unreadable_argv(tmp_path, command, UNREADABLE["deep-array"])
+    r = run_cli(*argv)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert list(json.loads(r.stdout)) == ["error"]
+    assert "Traceback" not in r.stderr
+
+
 def _set(path, value):
     """Mutation of a graph's JSON: set the field at `path` to `value`."""
     def mutate(doc):

@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tropilink.atlas import enumerate_p_regular
 from tropilink.connectivity import (Cycle, CycleSearchBudgetExceeded,
-                                    edge_connectivity_capped, is_p_regular,
-                                    longest_cycle)
+                                    edge_connectivity_capped, longest_cycle)
 from tropilink.graphs import (GraphError, build_graph, contract, cycle_graph,
                               dumbbell_graph, k4_graph, petersen_graph,
                               theta_graph)
@@ -19,14 +18,12 @@ from cycle_oracle import (all_cycles, canonical_vertices, two_cycle_criterion,
 
 
 def test_regularity():
-    assert is_p_regular(k4_graph(), 3)
-    assert is_p_regular(cycle_graph(1), 2)          # loop counts twice
-    assert is_p_regular(dumbbell_graph(), 3)        # loop 2 + bridge 1
-    assert not is_p_regular(build_graph([(0, 1)]), 3)
+    assert k4_graph().is_regular() == 3
+    assert cycle_graph(1).is_regular() == 2         # loop counts twice
+    assert dumbbell_graph().is_regular() == 3       # loop 2 + bridge 1
+    assert build_graph([(0, 1)]).is_regular() != 3
     legged = build_graph([(0, 1), (0, 1)], legs=[(0, 1), (1, 2)])
-    assert is_p_regular(legged, 3)                  # legs count toward valency
-    with pytest.raises(GraphError):
-        is_p_regular(k4_graph(), 0)
+    assert legged.is_regular() == 3                 # legs count toward valency
 
 
 def test_edge_connectivity_small_cases():

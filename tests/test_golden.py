@@ -38,11 +38,12 @@ from tropilink.canonical import isomorphism_witness
 from tropilink.graphs import (GraphError, build_graph, contract,
                               dumps_canonical, petersen_graph)
 from tropilink.hamiltonize import hamiltonize
-from tropilink.linkage import factor_twist, link, reduce_to_polygon, twist_3ec
+from tropilink.linkage import link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, normalize
 
 from conftest import is_hamiltonian
 from enumeration_oracle import enumerate_p_regular
+from twist_oracle import factor_twist, twist_3ec
 
 GOLDEN = {
     "pairs_3_3_plain": "cccb2a2ab6db365f51597e4f39e7ac3e80931ab6ab415dfc8e6673611ecb065e",

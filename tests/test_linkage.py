@@ -15,13 +15,13 @@ from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
 from tropilink.hamiltonize import hamiltonize
-from tropilink.linkage import (_select_claim_pair, _walk, factor_twist, link,
-                               reduce_to_polygon, twist, twist_3ec)
+from tropilink.linkage import _select_claim_pair, _walk, link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
 from conftest import is_hamiltonian
 from test_golden import _random_cubic
 from test_normal_form import nf_with_chords, p_hamiltonian_classes
+from twist_oracle import factor_twist, twist, twist_3ec
 
 
 # -- twist ---------------------------------------------------------------------
@@ -238,6 +238,36 @@ def test_twist_3ec_preserves_3ec_exhaustively():
     assert checked > 0
 
 
+def test_twist_3ec_is_the_one_swap_walk():
+    # the descent realizes each 3ec twist as a one-swap walk on the frame
+    # rotated to start at chord_a's fixed end; in case (a) the walk's own
+    # certifying cycles are the twist lemma's
+    cases = {"a": 0, "b": 0}
+    for b in (3, 4, 5):
+        for g in p_hamiltonian_classes(3, b):
+            if edge_connectivity_capped(g) != 3:
+                continue
+            nf = normalize(g)
+            for i, j, ka in nf.chords:
+                for c2 in nf.chords_at(j + 1):
+                    if c2[2] == ka:
+                        continue
+                    try:
+                        g2, step = twist_3ec(nf, (i, j, ka), c2)
+                    except GraphError:
+                        continue
+                    frame, kb = nf.rebased(i, 1), c2[2]
+                    walk = _walk(frame, ka, j - i + 1, kb, j - i + 2)
+                    assert len(walk) == 1 and walk[0].right == g2
+                    case = "a" if c2[0] == j + 1 else "b"
+                    cases[case] += 1
+                    if case == "a":
+                        walk3 = _walk(frame, ka, j - i + 1, kb, j - i + 2,
+                                      "3ec")
+                        assert walk3[0].cert_cycles == step.cert_cycles
+    assert cases["a"] > 0 and cases["b"] > 0
+
+
 # -- descent -------------------------------------------------------------------
 
 
@@ -409,7 +439,9 @@ def test_link_rejects_mismatches():
 def test_link_symmetric_and_reversal_valid():
     t, d = theta_graph(), dumbbell_graph()
     cert = link(t, d)
-    rev = cert.reversed()
+    rev = LinkageCertificate(cert.graphs[::-1],
+                             [s.reversed() for s in reversed(cert.steps)],
+                             cert.mode, cert.p)
     assert verify_certificate(rev, endpoints=(d, t)).valid
 
 

@@ -1,7 +1,7 @@
 import pytest
 
 from tropilink.canonical import canonical_form
-from tropilink.connectivity import edge_connectivity_capped, is_p_regular
+from tropilink.connectivity import edge_connectivity_capped
 from tropilink.atlas import is_connected_adjacency
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph, genus,
                               theta_graph)
@@ -51,7 +51,7 @@ def test_dimension_bound_and_top_strata():
             assert s.dimension <= top
             is_top = s.dimension == top
             pure_trivalent = (
-                s.wgraph.total_weight == 0 and is_p_regular(s.wgraph.graph, 3)
+                s.wgraph.total_weight == 0 and s.wgraph.graph.is_regular() == 3
             )
             assert is_top == pure_trivalent
         assert po.max_dimension == top
@@ -121,7 +121,7 @@ def test_schottky_maximal_dimension():
         for i in po.maximal_strata():
             s = po.strata[i]
             assert s.wgraph.total_weight == 0
-            assert is_p_regular(s.wgraph.graph, 3)
+            assert s.wgraph.graph.is_regular() == 3
             assert edge_connectivity_capped(s.wgraph.graph) == 3
 
 
@@ -146,7 +146,7 @@ def test_preg_locus():
     assert conn
     for i in po.maximal_strata():
         s = po.strata[i]
-        assert is_p_regular(s.wgraph.graph, 4)
+        assert s.wgraph.graph.is_regular() == 4
         assert s.wgraph.total_weight == 0
     with pytest.raises(GraphError):
         build_poset(3, 1, "preg:4")

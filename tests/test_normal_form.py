@@ -2,8 +2,7 @@ import pytest
 
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic, canonical_form
-from tropilink.connectivity import (edge_connectivity_capped, is_p_regular,
-                                    longest_cycle)
+from tropilink.connectivity import edge_connectivity_capped, longest_cycle
 from tropilink.graphs import (GraphError, build_graph, k4_graph, theta_graph)
 from tropilink.normal_form import (NormalizedForm, amplitude, build_polygon,
                                    epsilon, is_short, normalize, short_arc)
@@ -99,7 +98,7 @@ def test_amplitude_bounds_exhaustively():
 
 def test_epsilon_direct_formula():
     nf = nf_with_chords(6, [(1, 2), (3, 6), (4, 5)])
-    assert is_p_regular(nf.base, 3)
+    assert nf.base.is_regular() == 3
     assert epsilon(nf) == (3 - 1) + (3 - 3) + (3 - 1) == 4
 
 
@@ -142,7 +141,7 @@ def test_polygon_small_cases():
     assert are_isomorphic(build_polygon(3, 4), k4_graph())
     p46 = build_polygon(4, 6)
     assert p46.b1 == 7
-    assert is_p_regular(p46, 4)
+    assert p46.is_regular() == 4
     # three antipodal pairs, two chords each
     nf = normalize(p46)
     pair_counts = {}
@@ -154,7 +153,7 @@ def test_polygon_small_cases():
 
 def test_polygon_odd_cases():
     p56 = build_polygon(6, 5)
-    assert is_p_regular(p56, 6)
+    assert p56.is_regular() == 6
     nf = normalize(p56)
     # at each vertex: two chords at distance 2, two at distance 3
     per_vertex = {t: [] for t in range(1, 6)}
@@ -166,7 +165,7 @@ def test_polygon_odd_cases():
         assert sorted(amplitude(nf, c) for c in cs) == [2, 2, 2, 2]
 
     p49 = build_polygon(4, 9)
-    assert is_p_regular(p49, 4)
+    assert p49.is_regular() == 4
     assert is_hamiltonian(p49)
 
 
@@ -182,7 +181,7 @@ def test_polygons_loop_free_hamiltonian_3ec():
              if not (gamma % 2 and p % 2)]
     for p, gamma in cases:
         g = build_polygon(p, gamma)
-        assert is_p_regular(g, p)
+        assert g.is_regular() == p
         assert not any(g.is_loop(e) for e in g.edges)
         assert longest_cycle(g).length == gamma
         assert edge_connectivity_capped(g) == 3

@@ -3,12 +3,12 @@
 Every public top-level function or class of src/tropilink/*.py must be
 referenced by the package's code outside its own definition (another
 function, a class, a module-level statement; `__init__.py`, which only
-re-exports, does not count), be declared in its module's `__all__`, or be
-one of the library entry points listed below.  A reference is a name, an
-imported name, or an attribute of a package module the file imports
-(`moduli.build_poset`); a method or property of the same name is not one.  Helpers that only tests
-call live in tests/ (conftest.py and the *_oracle.py modules), so they
-cannot grow back into src/.
+re-exports, does not count), or be one of the library entry points listed
+below.  A reference is a name, an imported name, or an attribute of a
+package module the file imports (`moduli.build_poset`); a method or
+property of the same name is not one.  Helpers that only tests call live
+in tests/ (conftest.py and the *_oracle.py modules), so they cannot grow
+back into src/.
 """
 
 import ast
@@ -48,25 +48,15 @@ def _names_used(node, modules) -> set[str]:
     return found
 
 
-def _declared_all(tree) -> set[str]:
-    for stmt in tree.body:
-        if (isinstance(stmt, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in stmt.targets)):
-            return set(ast.literal_eval(stmt.value))
-    return set()
-
-
 def _surface():
     """({module.name: definition} of public top-level functions and classes,
-    the names the package uses or declares in `__all__`)."""
+    the names the package uses)."""
     public, used = {}, set()
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "__init__.py":
             continue
         tree = ast.parse(path.read_text())
         modules = _package_modules(tree)
-        used |= _declared_all(tree)
         for stmt in tree.body:
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")):
@@ -96,5 +86,8 @@ def test_removed_helpers_stay_out_of_src():
     public, _ = _surface()
     names = {d.name for d in public.values()}
     assert names.isdisjoint({"TropicalCurve", "stabilize", "canonical_hash",
-                             "find_partner_short_chord", "b1_of_edge_subset"})
+                             "find_partner_short_chord", "b1_of_edge_subset",
+                             "twist", "factor_twist", "twist_3ec",
+                             "is_p_regular"})
     assert not hasattr(tropilink.Graph, "loops_at")
+    assert "_canon_cache" not in tropilink.Graph.__slots__
