@@ -12,9 +12,12 @@ counts on the diagonal.
   every way, by how many of its loops, edges to each neighbour and which
   legs go to each side.  The linkage theorem says the strong-link move
   graph on p-regular classes of fixed first Betti number is connected, so
-  the closure of a single seed graph reaches every class.  The recorded
-  targets are that move graph; the graph-level move, which splits over
-  half-edge subsets, is their oracle in the tests.
+  the closure of a single seed graph reaches every class.  It also says
+  that 3-edge-connected classes link through 3-edge-connected ones, so
+  the unlegged 3ec classes are the closure of the p-polygon under the
+  links whose targets are 3ec.  The recorded targets are that move graph;
+  the graph-level move, which splits over half-edge subsets, is their
+  oracle in the tests.
 - **Moduli strata.**  The move is a one-edge weighted contraction, on the
   key itself, one per nonzero matrix entry.  A loop at i raises i's weight
   by one and lowers its loop count by one and its valency by two.  An i-j
@@ -22,7 +25,8 @@ counts on the diagonal.
   two, and the other i-j edges become loops.  The tropical moduli space is
   pure-dimensional, so every stable graph is a weighted contraction of a
   trivalent weight-zero one, and the downward closure of the 3-regular
-  classes with n legs is every stratum.  The recorded targets are the
+  classes with n legs is every stratum (of the 3ec ones, every 3ec
+  stratum; `moduli.build_poset` proves it).  The recorded targets are the
   one-edge covers; the graph-level closure is their oracle in the tests.
 
 Class lists are sorted by canonical key, and each representative is
@@ -37,8 +41,9 @@ from itertools import combinations, product
 
 from .canonical import _Canonizer, canonical_form, from_canonical_form
 from .connectivity import edge_connectivity_capped
-from .graphs import (Graph, GraphError, WeightedGraph, _component_roots,
-                     build_graph)
+from .graphs import (Graph, GraphError, InternalConsistencyError,
+                     WeightedGraph, _component_roots, build_graph)
+from .normal_form import build_polygon
 
 
 def regular_counts(p: int, b: int, legs: int = 0) -> tuple[int, int]:
@@ -205,18 +210,44 @@ def _merge(colors, adj, i, j):
 def _classes(p: int, b: int, filter: str,
              legs: int) -> tuple[list[tuple], dict[tuple, set[tuple]]]:
     """Sorted canonical keys of the p-regular classes that pass the filter,
-    and the keys of every class's strong-link targets."""
+    and the keys of the strong-link targets of every class walked.
+
+    Unlegged 3ec classes are the closure of the p-polygon (at one vertex,
+    the single class) under the strong links whose targets are
+    3-edge-connected; the linkage theorem links any two 3-edge-connected
+    classes through such steps, as `link --mode 3ec` does.  Legged 3ec
+    classes keep the filter over all classes: `link` refuses 3ec mode with
+    legs, so the code holds no constructive witness of the theorem there.
+    """
     if filter not in ("all", "3ec"):
         raise GraphError(f"unknown filter {filter!r}")
     nv, _ = regular_counts(p, b, legs)
     if b < 0:
         return [], {}
+    if filter == "3ec" and not legs:
+        seed = build_polygon(p, nv) if nv > 1 else _seed(p, nv, 0)
+        if edge_connectivity_capped(seed) < 3:
+            raise InternalConsistencyError("the 3ec seed is not 3ec")
+        is_3ec: dict[tuple, bool] = {}
+
+        def links(key):
+            for t in _strong_links(key):
+                if t not in is_3ec:
+                    is_3ec[t] = _is_3ec(t)
+                if is_3ec[t]:
+                    yield t
+
+        targets = _closure([canonical_form(seed)], links)
+        return sorted(targets), targets
     targets = _closure([canonical_form(_seed(p, nv, legs))], _strong_links)
     keys = sorted(targets)
     if filter == "3ec":
-        keys = [k for k in keys
-                if edge_connectivity_capped(from_canonical_form(k).graph) == 3]
+        keys = [k for k in keys if _is_3ec(k)]
     return keys, targets
+
+
+def _is_3ec(key: tuple) -> bool:
+    return edge_connectivity_capped(from_canonical_form(key).graph) == 3
 
 
 def enumerate_p_regular(p: int, b: int, filter: str = "all",

@@ -7,16 +7,17 @@ contractions.  A locus restricts the strata: all of them, the pure ones
 (weight zero everywhere), those with 3-edge-connected underlying graph
 (the combinatorial stand-in for the Schottky image), or the downward
 closure of the p-regular pure classes.  Strata and covers both come from
-one contraction closure (`atlas.contraction_closure`) of the 3-regular,
-or for `preg:P` the P-regular, classes, which contracts canonical keys and
-builds no graph.  A stratum reads its dimension and genus off its key.
+one contraction closure (`atlas.contraction_closure`) of the 3-regular
+classes, for `3ec` the 3-edge-connected ones and for `preg:P` the
+P-regular ones, which contracts canonical keys and builds no graph; only
+the pure locus is filtered.  A stratum reads its dimension and genus off
+its key.
 """
 
 from __future__ import annotations
 
 from .atlas import _classes, components, contraction_closure
 from .canonical import form_hash, from_canonical_form
-from .connectivity import edge_connectivity_capped
 from .graphs import GraphError, WeightedGraph
 
 
@@ -110,41 +111,53 @@ def _parse_locus(locus) -> tuple[str, int | None]:
                      "with P >= 3 written in plain decimal")
 
 
-def _in_locus(s: Stratum, kind: str) -> bool:
-    if kind == "all":
-        return True
-    if kind == "pure":
-        return all(c[0] == 0 for c in s.key[0])
-    if kind == "3ec":
-        return edge_connectivity_capped(s.wgraph.graph) == 3
-    raise GraphError(f"unknown locus kind {kind!r}")
-
-
 def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     """Stratification poset of the chosen locus inside M_{g,n}.
 
-    The 3ec and p-regular loci are defined for unpointed curves only.
-    Every locus but preg:P is the closure below all trivalent classes,
-    filtered.  Contraction never lowers edge connectivity, so the 3ec
-    strata are closed downward; yet starting the closure from the 3ec
-    trivalent classes alone would need every 3ec stratum to lie below a
-    3ec trivalent one.  That lemma is neither proved nor cited here
-    (`pure_dimension_violations` finds no counterexample up to genus 5),
-    so the 3ec locus keeps the filter.
+    The 3ec and p-regular loci are defined for unpointed curves only.  A
+    locus is the contraction closure of its top classes: the trivalent
+    ones (pure keeps the weight-zero strata of it), the P-regular ones, or
+    the 3-edge-connected trivalent ones.  Contraction never lowers edge
+    connectivity, so the last closure holds 3ec strata only, and by the
+    lemma below it holds all of them.
+
+    Lemma: every 3ec stable weighted graph G of genus g is a contraction
+    of a 3ec trivalent weight-0 one.  By induction on 3g-3-|E|: the first
+    step below that applies gives G' with a new edge e, G'/e = G, the
+    same genus, stable and 3ec (loops lie in no cut).  If none applies, G
+    has no weight and no loop, so stability makes it trivalent.
+    1. w(v) > 0: lower w(v) by 1, add a loop at v.
+    2. v has a loop and a non-loop edge a: split v into v1, with half the
+       loop, a and e, and v2, with the rest; the loop joins v1 to v2.
+       Being 3ec, v has three non-loop edges, so v2 has valency >= 4; a
+       cut {v1} + T crosses both v1-v2 edges and a or an edge of T's cut.
+    3. One vertex with g >= 2 loops: v1 takes half of two loops and e.
+    4. v has no loop and valency d >= 4: move two of its edges onto a
+       new vertex v1 joined to v by e.  A cut falls below 3 only if both
+       far ends lie in one tight set T of V-v (d(T) = 3).  By
+       submodularity tight sets that meet have a tight union, so the
+       maximal ones are disjoint; each takes at most 3 of the d edges, so
+       some pair has ends in no common one.
     """
+    if n < 0:
+        raise GraphError("the number of legs must be >= 0")
     if 2 * g - 2 + n <= 0:
         raise GraphError("moduli need 2g-2+n > 0")
     kind, p = _parse_locus(locus)
     if kind in ("3ec", "preg") and n != 0:
         raise GraphError(f"locus {kind} is defined for n = 0 only")
 
-    try:  # fails for preg:P only
-        tops = _classes(p or 3, g, "all", n)[0]
-    except GraphError:
-        raise GraphError(f"no {p}-regular pure classes at genus {g}") from None
+    if kind == "preg":
+        try:
+            tops = _classes(p, g, "all", 0)[0]
+        except GraphError:
+            raise GraphError(f"no {p}-regular pure classes at genus {g}") \
+                from None
+    else:
+        tops = _classes(3, g, "3ec" if kind == "3ec" else "all", n)[0]
     below = contraction_closure(tops)
     strata = [s for s in map(Stratum, sorted(below))
-              if kind == "preg" or _in_locus(s, kind)]
+              if kind != "pure" or all(c[0] == 0 for c in s.key[0])]
     index = {s.key: i for i, s in enumerate(strata)}
     covers = {(i, index[t]) for i, s in enumerate(strata)
               for t in below[s.key] if t in index}

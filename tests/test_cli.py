@@ -282,6 +282,24 @@ def test_out_of_range_arguments_exit_2(capsys, argv):
     assert "error" in json.loads(capsys.readouterr().out)
 
 
+@pytest.mark.parametrize("command", ["poset", "check-codim1", "enumerate"])
+@pytest.mark.parametrize("locus", ["all", "preg:4"])
+def test_negative_legs_name_the_legs(capsys, command, locus):
+    """A negative --legs is reported as such, whatever the locus, and not
+    as a missing p-regular class."""
+    argv = [command, "--genus", "2", "--legs", "-1"]
+    argv += ["--p", "3"] if command == "enumerate" else ["--locus", locus]
+    assert cli.main(argv) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "the number of legs must be >= 0"
+
+
+def test_missing_p_regular_classes_keep_their_message(capsys):
+    assert cli.main(["poset", "--genus", "2", "--locus", "preg:5"]) == 2
+    error = json.loads(capsys.readouterr().out)["error"]
+    assert error == "no 5-regular pure classes at genus 2"
+
+
 def test_graph_json_round_trip_via_cli(tmp_path):
     r = run_cli("polygon", "--p", "4", "--gamma", "6")
     blob = r.stdout

@@ -155,6 +155,9 @@ def test_preg_locus():
 def test_locus_rejections():
     with pytest.raises(GraphError):
         build_poset(2, 1, "3ec")
+    for locus in ("all", "3ec", "preg:4"):
+        with pytest.raises(GraphError, match="number of legs must be >= 0"):
+            build_poset(2, -1, locus)
     with pytest.raises(GraphError):
         build_poset(0, 1, "all")
     with pytest.raises(GraphError):
@@ -184,7 +187,7 @@ def test_poset_exports():
 
 def test_pure_dimension_violations_reported_empty():
     # (4, 0, "3ec") and (5, 0, "3ec"): every 3ec stratum lies below a 3ec
-    # trivalent one there, the lemma `build_poset` does not rely on
+    # trivalent one there, as the lemma of `build_poset` proves
     for g, n, locus in [(2, 0, "all"), (3, 0, "3ec"), (2, 1, "all"),
                         (4, 0, "3ec"), (5, 0, "3ec")]:
         po = build_poset(g, n, locus)

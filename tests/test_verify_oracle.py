@@ -11,6 +11,16 @@ when the oracle finds no fault, and 1 otherwise.  The mutation classes are
 Positions are drawn by a fixed seed.  The certificates are plain (acceptance
 criterion 1 and a seeded 14-vertex cubic pair), 3ec (Petersen to P10) and
 legged (criterion 6).
+
+A second set moves one integer by +-1, at every position outside
+`cycles` of the plain, 3ec and legged certificates and at 40 seeded
+positions of the 14-vertex pair (all of its 4715 would take minutes).
+Such a mutation may make the certificate malformed (exit 2); when it
+loads, `verify`'s verdict must equal the oracle's on the mutated chain,
+whose ends are its own first and last graphs since `verify` is given no
+endpoints.  `p` set to p + 1 must exit 1 and p = 2 exit 2.  The oracle
+does not read `cycles`, so a recorded cycle edge moved by +-1 must only
+not pass (exit 1 or 2).
 """
 
 import contextlib
@@ -29,6 +39,7 @@ from tropilink.normal_form import build_polygon
 from conftest import perfbench_module
 
 PER_CLASS = 20   # mutations of each class on each certificate
+SAMPLED = 40     # +-1 positions of the 14-vertex pair
 
 
 def _certificates():
@@ -85,7 +96,8 @@ def _verify(workdir, doc) -> int:
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
         rc = cli.main(["verify", str(path)])
-    assert json.loads(out.getvalue())["valid"] is (rc == 0)
+    report = json.loads(out.getvalue())
+    assert "error" in report if rc == 2 else report["valid"] is (rc == 0)
     return rc
 
 
@@ -110,3 +122,50 @@ def test_verify_verdicts_equal_the_oracle_on_value_mutations(tmp_path):
                 assert (rc == 0) == (not found), (cls, rc, found)
                 rejected[cls] = rejected.get(cls, 0) + (rc == 1)
     assert len(rejected) == 3 and all(rejected.values()), rejected
+
+
+def _int_paths(node, path=()):
+    """The path of every integer in a JSON document, booleans left out."""
+    if isinstance(node, dict):
+        for k, v in node.items():
+            yield from _int_paths(v, path + (k,))
+    elif isinstance(node, list):
+        for i, v in enumerate(node):
+            yield from _int_paths(v, path + (i,))
+    elif type(node) is int:
+        yield path
+
+
+def test_verify_verdicts_equal_the_oracle_on_integer_steps(tmp_path):
+    oracle = perfbench_module("oracle")
+    rng = random.Random(20100115)
+    rcs = {}
+    for n, doc in enumerate(map(certificate_to_json_dict, _certificates())):
+        paths = list(_int_paths(doc))
+        if n == 1:
+            paths = rng.sample(paths, SAMPLED)
+        for path in paths:
+            *parents, last = path
+            box = doc
+            for k in parents:
+                box = box[k]
+            old = box[last]
+            for delta in (-1, 1):
+                box[last] = old + delta
+                rc = _verify(tmp_path, doc)
+                kind = ("cycles" if "cycles" in path
+                        else "p" if path == ("p",) else "other")
+                rcs.setdefault(kind, set()).add(rc)
+                if kind == "cycles":
+                    assert rc in (1, 2), (path, delta)
+                elif rc != 2:
+                    ends = [oracle.G.from_json(doc["graphs"][k])
+                            for k in (0, -1)]
+                    found = oracle.check_certificate(doc, *ends, doc["mode"],
+                                                     doc["p"])
+                    assert (rc == 0) == (not found), (path, delta, rc, found)
+                if kind == "p":
+                    assert rc == (2 if old + delta == 2 else 1), (delta, rc)
+            box[last] = old
+    assert rcs["p"] == {1, 2} and {1, 2} <= rcs["other"], rcs
+    assert 1 in rcs["cycles"] and rcs["cycles"] <= {1, 2}, rcs
