@@ -1,6 +1,6 @@
 """Certified linkage of p-regular multigraphs and tropical moduli strata."""
 
-from .graphs import (Graph, WeightedGraph, ContractionMap, GraphError,
+from .graphs import (Graph, WeightedGraph, GraphError,
                      InternalConsistencyError, build_graph, contract, genus,
                      theta_graph, dumbbell_graph, k4_graph, cycle_graph,
                      petersen_graph, to_json_dict, from_json_dict, to_dot)

@@ -176,7 +176,7 @@ def _split(colors, adj, i, ys, left, right, lr):
 
 def _contractions(key: tuple):
     """The key of every one-edge weighted contraction of the stratum with
-    this key, one per nonzero matrix entry."""
+    this key, one per nonzero matrix entry: loops, then other edges."""
     colors, rows = key
     adj = _adjacency(rows)
     for i, (w, val, nl, legs, _) in enumerate(colors):
@@ -184,7 +184,16 @@ def _contractions(key: tuple):
             c = list(colors)
             c[i] = (w + 1, val - 2, nl - 1, legs, False)
             yield _Canonizer(c, adj).run()[0]
-        for j in adj[i]:
+    yield from _edge_contractions(key)
+
+
+def _edge_contractions(key: tuple):
+    """The key of every contraction of one non-loop edge of the stratum
+    with this key, one per nonzero off-diagonal entry."""
+    colors, rows = key
+    adj = _adjacency(rows)
+    for i, nbrs in enumerate(adj):
+        for j in nbrs:
             if j > i:
                 yield _Canonizer(*_merge(colors, adj, i, j)).run()[0]
 

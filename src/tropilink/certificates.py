@@ -6,10 +6,11 @@ the same vertex.  A certificate is an alternating chain of such steps; the
 verifier re-derives every contraction and re-checks every witness, so a
 certificate can be audited without trusting the code that produced it.
 
-Contraction keeps the ids of everything it does not consume (see graphs),
-so a witness is a plain triple of id maps from the right contraction to the
-left one; corrupting any entry breaks bijectivity or endpoint compatibility
-and is caught by the verifier.
+Contraction keeps the ids of everything it does not consume and merges an
+edge into its lesser end (see graphs), so a witness is a plain triple of id
+maps from the right contraction to the left one; corrupting any entry breaks
+bijectivity or endpoint compatibility and is caught by the verifier.
+`strong_link_check` returns a step or raises StrongLinkFailure.
 """
 
 from __future__ import annotations
@@ -49,23 +50,19 @@ class StrongLinkStep:
                 f"e_right={self.right_edge})")
 
 
-class StrongLinkFailure:
-    """Structured failure: the two contractions are not isomorphic, or no
+class StrongLinkFailure(RuntimeError):
+    """No strong link: the two contractions are not isomorphic, or no
     isomorphism matches the contracted-vertex images."""
 
-    __slots__ = ("kind", "message")
-
     def __init__(self, kind: str, message: str):
-        self.kind = kind  # "not_isomorphic" | "no_marked_witness" | "bad_edge"
-        self.message = message
-
-    def __repr__(self):
-        return f"StrongLinkFailure({self.kind}: {self.message})"
+        super().__init__(f"{kind}: {message}")
+        self.kind = kind  # "not_isomorphic" | "no_marked_witness"
 
 
 def strong_link_check(left: Graph, left_edge: int, right: Graph,
-                      right_edge: int):
-    """Check a strong link and produce a witnessed step, or a failure.
+                      right_edge: int) -> StrongLinkStep:
+    """Check a strong link and produce a witnessed step, else raise
+    StrongLinkFailure.  An edge that is missing or a loop is a GraphError.
 
     Contractions equal as labeled graphs, with equal contracted-vertex
     images, get the identity witness without a canonical search."""
@@ -75,10 +72,10 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
         if g.is_loop(e):
             raise GraphError(f"{side} edge {e} is a loop; not contractible here")
 
-    mid_l, cm_l = contract(left, {left_edge})
-    mid_r, cm_r = contract(right, {right_edge})
-    ml = cm_l.image_vertex(left_edge)
-    mr = cm_r.image_vertex(right_edge)
+    mid_l = contract(left, {left_edge})
+    mid_r = contract(right, {right_edge})
+    ml = left.edge_ends(left_edge)[0]
+    mr = right.edge_ends(right_edge)[0]
 
     if mid_l == mid_r and ml == mr:
         # canonical labeling is deterministic, so this is the search's answer
@@ -88,11 +85,11 @@ def strong_link_check(left: Graph, left_edge: int, right: Graph,
         witness = isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))
     if witness is None:
         if are_isomorphic(mid_l, mid_r):
-            return StrongLinkFailure(
+            raise StrongLinkFailure(
                 "no_marked_witness",
                 "contractions isomorphic but never matching the contracted vertices",
             )
-        return StrongLinkFailure("not_isomorphic", "contractions are not isomorphic")
+        raise StrongLinkFailure("not_isomorphic", "contractions are not isomorphic")
     return StrongLinkStep(left, left_edge, right, right_edge, witness)
 
 
@@ -152,25 +149,18 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
                    witness) -> Graph:
     """Append the first fault of the witness of step idx to problems, if
     any; return the left contraction, which 3ec mode checks as well."""
-    mid_l, cm_l = contract(left, {left_edge})
-    mid_r, cm_r = contract(right, {right_edge})
+    mid_l = contract(left, {left_edge})
+    mid_r = contract(right, {right_edge})
     alpha_v, alpha_e, alpha_l = witness
 
-    if set(alpha_v) != set(mid_r.vertices) or \
-            sorted(alpha_v.values()) != list(mid_l.vertices):
-        problems.append((idx, "witness_vertices",
-                         "vertex map is not a bijection onto the left contraction"))
-        return mid_l
-    if set(alpha_e) != set(mid_r.edges) or \
-            sorted(alpha_e.values()) != list(mid_l.edges):
-        problems.append((idx, "witness_edges",
-                         "edge map is not a bijection onto the left contraction"))
-        return mid_l
-    if set(alpha_l) != set(mid_r.legs) or \
-            sorted(alpha_l.values()) != list(mid_l.legs):
-        problems.append((idx, "witness_legs",
-                         "leg map is not a bijection onto the left contraction"))
-        return mid_l
+    for code, noun, alpha, domain, codomain in (
+            ("witness_vertices", "vertex", alpha_v, mid_r.vertices, mid_l.vertices),
+            ("witness_edges", "edge", alpha_e, mid_r.edges, mid_l.edges),
+            ("witness_legs", "leg", alpha_l, mid_r.legs, mid_l.legs)):
+        if set(alpha) != set(domain) or sorted(alpha.values()) != list(codomain):
+            problems.append((idx, code, f"{noun} map is not a bijection onto "
+                                        "the left contraction"))
+            return mid_l
 
     for e in mid_r.edges:
         a, b = mid_r.edge_ends(e)
@@ -190,7 +180,7 @@ def _check_witness(problems, idx, left, left_edge, right, right_edge,
                              f"leg {h} maps to a differently labeled leg"))
             return mid_l
 
-    if alpha_v[cm_r.image_vertex(right_edge)] != cm_l.image_vertex(left_edge):
+    if alpha_v[right.edge_ends(right_edge)[0]] != left.edge_ends(left_edge)[0]:
         problems.append((idx, "marked_vertex",
                          "witness does not match the contracted-vertex images"))
     return mid_l

@@ -8,8 +8,9 @@ topological graph must be connected.
 
 Edges are referenced by a stable *key*: the smaller of the two half-edge ids
 forming the edge.  Legs are referenced by their half-edge id.  Contraction
-keeps the ids of everything it does not touch, so edge keys survive through
-contraction maps; this is what makes transformation certificates auditable.
+keeps the ids of everything it does not touch and names a merged component
+by its least vertex, so edge keys survive contraction; this is what makes
+transformation certificates auditable.
 
 All values are immutable after construction.  Derived graphs (a
 contraction, a re-attachment) share the immutable parts of their source,
@@ -393,29 +394,6 @@ def _component_roots(vertices: Iterable[int],
     return parent
 
 
-class ContractionMap:
-    """Record of a contraction: the source graph, the contracted edges and
-    where each source vertex went.
-
-    Contraction keeps the ids it does not consume, so edges and legs of the
-    target are those of the source; target vertices are named by the
-    smallest source vertex in their preimage component.
-    """
-
-    __slots__ = ("source", "contracted_set", "vertex_map")
-
-    def __init__(self, source, contracted_set, vertex_map):
-        self.source = source
-        self.contracted_set = frozenset(contracted_set)
-        self.vertex_map = dict(vertex_map)
-
-    def image_vertex(self, key: int) -> int:
-        """Target vertex a contracted edge was collapsed to."""
-        if key not in self.contracted_set:
-            raise GraphError(f"edge {key} was not contracted")
-        return self.vertex_map[self.source.edge_ends(key)[0]]
-
-
 def _without(items: tuple, drop: list) -> tuple:
     """The sorted tuple items less drop, a sorted list of some of its
     members, found by bisection."""
@@ -428,13 +406,14 @@ def _without(items: tuple, drop: list) -> tuple:
     return tuple(chain.from_iterable(pieces))
 
 
-def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
+def contract(g: Graph, S: Iterable[int]) -> Graph:
     """Collapse the edges in S, leaving everything else unchanged.
 
     Besides copying the maps and tuples of g, the work is proportional to
     what changes.  Each component of (V, S) becomes its least vertex, its
-    root.  Only the half-edges at a merged vertex are re-pointed, and only
-    the roots' half-edge lists are rebuilt; legs and leg labels are shared
+    root, so a one-edge contraction merges e into `g.edge_ends(e)[0]`.
+    Only the half-edges at a merged vertex are re-pointed, and only the
+    roots' half-edge lists are rebuilt; legs and leg labels are shared
     with g.
 
     The target is built without re-validation, which is sound because g is
@@ -455,8 +434,6 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
 
     ends = [g.edge_ends(key) for key in S]
     roots = _component_roots(set(chain.from_iterable(ends)), ends)
-    vmap = dict(zip(g.vertices, g.vertices))
-    vmap.update(roots)
     merged = sorted(v for v, r in roots.items() if r != v)
     keys = sorted(S)
     drop = sorted(chain(keys, (inv[key] for key in keys)))
@@ -476,10 +453,9 @@ def contract(g: Graph, S: Iterable[int]) -> tuple[Graph, ContractionMap]:
     for r, hs in halves.items():
         at[r] = tuple(sorted(hs))
 
-    target = Graph._derived(_without(g.vertices, merged),
-                            _without(g.half_edges, drop), inv, ep,
-                            g.leg_labels, _without(g.edges, keys), g.legs, at)
-    return target, ContractionMap(g, S, vmap)
+    return Graph._derived(_without(g.vertices, merged),
+                          _without(g.half_edges, drop), inv, ep,
+                          g.leg_labels, _without(g.edges, keys), g.legs, at)
 
 
 # -- JSON and DOT -------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
-from .certificates import StrongLinkStep, strong_link_check
+from .certificates import strong_link_check
 from .connectivity import Cycle, edge_connectivity_capped, longest_cycle
 from .graphs import Graph, GraphError, InternalConsistencyError, contract
 
@@ -93,13 +93,12 @@ def lengthen_cycle_step(g: Graph, delta: Cycle, mode: str = "plain"):
     if not candidates:
         raise InternalConsistencyError("no edge leaves the cycle in a connected graph")
     e = min(candidates)
-    a, b = g.edge_ends(e)
-    v1, v = (a, b) if a in on else (b, a)
+    w, b = g.edge_ends(e)  # contract merges e into its lesser end, w
+    v1 = w if w in on else b
 
     idx = delta.vertices.index(v1)
     e_first, e_last = delta.edge_keys[idx], delta.edge_keys[idx - 1]  # leave, enter v1
-    gp, cm = contract(g, {e})
-    w = cm.image_vertex(e)
+    gp = contract(g, {e})
 
     if e_first == e_last:
         # the cycle is a single loop at v1; its two halves are the anchors
@@ -112,10 +111,7 @@ def lengthen_cycle_step(g: Graph, delta: Cycle, mode: str = "plain"):
             raise InternalConsistencyError("cycle edges do not anchor the split")
 
     g2, new_edge = valency_reducing_extension(gp, w, left_req, right_req, mode)
-    step = strong_link_check(g, e, g2, new_edge)
-    if not isinstance(step, StrongLinkStep):
-        raise InternalConsistencyError(f"extension does not link back: {step}")
-    return g2, step
+    return g2, strong_link_check(g, e, g2, new_edge)
 
 
 def remove_loop_step(g: Graph, delta: Cycle, loop: int, mode: str = "plain"):
@@ -145,10 +141,7 @@ def remove_loop_step(g: Graph, delta: Cycle, loop: int, mode: str = "plain"):
             g2 = g.with_endpoints({l2: v2, h: v1})
             if mode == "3ec" and edge_connectivity_capped(g2) != 3:
                 continue
-            step = strong_link_check(g, e1, g2, e1)
-            if not isinstance(step, StrongLinkStep):
-                raise InternalConsistencyError(f"loop move does not link: {step}")
-            return g2, step
+            return g2, strong_link_check(g, e1, g2, e1)
     raise InternalConsistencyError("no half-edge admits the loop-removal move")
 
 

@@ -65,8 +65,6 @@ def _swap_step(nf: NormalizedForm, g: Graph, key_a, ta, key_b, tb,
             "a scheduled twist lost 3-edge-connectivity"
         )
     step = strong_link_check(g, e, g2, e)
-    if not isinstance(step, StrongLinkStep):
-        raise InternalConsistencyError(f"consecutive twist does not link: {step}")
     if cycles is not None:
         step.cert_cycles = tuple(tuple(c) for c in cycles)
     return step
@@ -270,21 +268,19 @@ def reduce_to_polygon(g: Graph, mode: str = "plain", cycle: Cycle | None = None,
 # -- full linkage --------------------------------------------------------------
 
 
-def _bridge_step(a: Graph, b: Graph):
-    """Strong link between isomorphic graphs (None when a is b already)."""
+def _bridge(a: Graph, b: Graph) -> list[StrongLinkStep]:
+    """Strong link between isomorphic graphs, as a list of at most one
+    step (none when a is b already)."""
     if a == b:
-        return None
+        return []
     w = isomorphism_witness(a, b)
     if w is None:
         raise GraphError("graphs are not isomorphic")
     nonloop = [e for e in a.edges if not a.is_loop(e)]
     if not nonloop:
-        return None  # single-vertex all-loop graphs: nothing to contract
+        return []  # single-vertex all-loop graphs: nothing to contract
     e = min(nonloop)
-    step = strong_link_check(a, e, b, w[1][e])
-    if not isinstance(step, StrongLinkStep):
-        raise InternalConsistencyError(f"isomorphic graphs fail to link: {step}")
-    return step
+    return [strong_link_check(a, e, b, w[1][e])]
 
 
 def _assemble(first: Graph, steps, mode: str, p: int) -> LinkageCertificate:
@@ -324,8 +320,7 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
                 raise GraphError(f"{name} graph is not 3-edge-connected")
 
     if are_isomorphic(g1, g2):
-        step = _bridge_step(g1, g2)
-        return _assemble(g1, [] if step is None else [step], mode, p1)
+        return _assemble(g1, _bridge(g1, g2), mode, p1)
     if labels:
         return _link_legs(g1, g2, labels[-1])
 
@@ -336,9 +331,7 @@ def link(g1: Graph, g2: Graph, mode: str = "plain") -> LinkageCertificate:
 
     steps = list(s1) + list(r1.steps)
     p1_end, p2_end = r1.graphs[-1], r2.graphs[-1]
-    bridge = _bridge_step(p1_end, p2_end)
-    if bridge is not None:
-        steps.append(bridge)
+    steps += _bridge(p1_end, p2_end)
     steps.extend(s.reversed() for s in reversed(r2.steps))
     steps.extend(s.reversed() for s in reversed(s2))
     return _assemble(g1, steps, mode, p1)
@@ -464,10 +457,7 @@ def _claim_move(base: Graph, pos_from, pos_to, label: int):
     if hA == 1 and hB == 1:
         eA = _edges_between(A, vA, w)[0]
         eB = _edges_between(B, vB, w)[0]
-        step = strong_link_check(A, eA, B, eB)
-        if not isinstance(step, StrongLinkStep):
-            raise InternalConsistencyError(f"base leg move fails: {step}")
-        return [step]
+        return [strong_link_check(A, eA, B, eB)]
 
     if hA < hB:
         back = _claim_move(base, pos_to, pos_from, label)
@@ -481,10 +471,8 @@ def _claim_move(base: Graph, pos_from, pos_to, label: int):
         raise InternalConsistencyError("walk left the base graph")
     C, vC = _add_leg(base, ("edge", f), label)
     e3 = _edges_between(C, u, vC)[0]
-    step = strong_link_check(A, e1, C, e3)
-    if not isinstance(step, StrongLinkStep):
-        raise InternalConsistencyError(f"leg walk fails to link: {step}")
-    return [step] + _claim_move(base, ("edge", f), pos_to, label)
+    return ([strong_link_check(A, e1, C, e3)]
+            + _claim_move(base, ("edge", f), pos_to, label))
 
 
 def _transport_position(step: StrongLinkStep, pos):
@@ -520,9 +508,7 @@ def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
     def push(new_steps):
         nonlocal cur_graph
         for s in new_steps:
-            bridge = _bridge_step(cur_graph, s.left)
-            if bridge is not None:
-                steps.append(bridge)
+            steps.extend(_bridge(cur_graph, s.left))
             steps.append(s)
             cur_graph = s.right
 
@@ -535,10 +521,7 @@ def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
         A, _ = _add_leg(D, cur_pos, label)
         q_next = _transport_position(sub_step, cur_pos)
         B, _ = _add_leg(sub.graphs[i + 1], q_next, label)
-        lifted = strong_link_check(A, sub_step.left_edge, B, sub_step.right_edge)
-        if not isinstance(lifted, StrongLinkStep):
-            raise InternalConsistencyError(f"lift of a base link fails: {lifted}")
-        push([lifted])
+        push([strong_link_check(A, sub_step.left_edge, B, sub_step.right_edge)])
         cur_pos = q_next
 
     D_last = sub.graphs[-1]
@@ -550,7 +533,5 @@ def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
         q2 = ("edge", w[1][key]) if kind == "edge" else ("leg", w[2][key])
     push(_claim_move(D_last, cur_pos, q2, label))
 
-    bridge = _bridge_step(cur_graph, g2)
-    if bridge is not None:
-        steps.append(bridge)
+    steps += _bridge(cur_graph, g2)
     return _assemble(g1, steps, "plain", 3)

@@ -7,16 +7,16 @@ contractions.  A locus restricts the strata: all of them, the pure ones
 (weight zero everywhere), those with 3-edge-connected underlying graph
 (the combinatorial stand-in for the Schottky image), or the downward
 closure of the p-regular pure classes.  Strata and covers both come from
-one contraction closure (`atlas.contraction_closure`) of the 3-regular
-classes, for `3ec` the 3-edge-connected ones and for `preg:P` the
-P-regular ones, which contracts canonical keys and builds no graph; only
-the pure locus is filtered.  A stratum reads its dimension and genus off
-its key.
+one contraction closure of the 3-regular classes, for `3ec` the
+3-edge-connected ones and for `preg:P` the P-regular ones, which contracts
+canonical keys and builds no graph; the pure locus contracts non-loop
+edges only.  A stratum reads its dimension and genus off its key.
 """
 
 from __future__ import annotations
 
-from .atlas import _classes, components, contraction_closure
+from .atlas import (_classes, _closure, _edge_contractions, components,
+                    contraction_closure)
 from .canonical import form_hash, from_canonical_form
 from .graphs import GraphError, WeightedGraph
 
@@ -116,10 +116,14 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
 
     The 3ec and p-regular loci are defined for unpointed curves only.  A
     locus is the contraction closure of its top classes: the trivalent
-    ones (pure keeps the weight-zero strata of it), the P-regular ones, or
-    the 3-edge-connected trivalent ones.  Contraction never lowers edge
-    connectivity, so the last closure holds 3ec strata only, and by the
-    lemma below it holds all of them.
+    ones, the P-regular ones, or the 3-edge-connected trivalent ones.
+    Contraction never lowers edge connectivity, so the last closure holds
+    3ec strata only, and by the lemma below it holds all of them.
+
+    Pure closes the trivalent classes under non-loop contractions, which
+    keep weight 0 (a loop contraction adds weight).  It is complete: a
+    weight-0 vertex of valency >= 4 splits into two weight-0 vertices of
+    valency >= 3 joined by a new non-loop edge.
 
     Lemma: every 3ec stable weighted graph G of genus g is a contraction
     of a 3ec trivalent weight-0 one.  By induction on 3g-3-|E|: the first
@@ -155,12 +159,12 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
                 from None
     else:
         tops = _classes(3, g, "3ec" if kind == "3ec" else "all", n)[0]
-    below = contraction_closure(tops)
-    strata = [s for s in map(Stratum, sorted(below))
-              if kind != "pure" or all(c[0] == 0 for c in s.key[0])]
+    below = (_closure(tops, _edge_contractions) if kind == "pure"
+             else contraction_closure(tops))
+    strata = list(map(Stratum, sorted(below)))
     index = {s.key: i for i, s in enumerate(strata)}
     covers = {(i, index[t]) for i, s in enumerate(strata)
-              for t in below[s.key] if t in index}
+              for t in below[s.key]}
     return StrataPoset(g, n, locus, strata, covers)
 
 

@@ -16,7 +16,9 @@
 from typing import Iterable
 
 from tropilink.canonical import canonical_form, from_canonical_form
-from tropilink.graphs import ContractionMap, WeightedGraph, contract
+from tropilink.graphs import WeightedGraph, contract
+
+from conftest import contraction_roots
 from tropilink.hamiltonize import vertex_splits
 
 
@@ -31,31 +33,31 @@ def strong_links(key: tuple):
         if ends[0] != ends[1]:
             by_ends.setdefault(ends, e)
     for e in by_ends.values():
-        mid, cmap = contract(g, {e})
-        w = cmap.image_vertex(e)
+        mid = contract(g, {e})
+        w = g.edge_ends(e)[0]
         for split, _ in vertex_splits(mid, w, mid.half_edges_at(w)[:1], ()):
             yield canonical_form(split)
 
 
-def weighted_contract(wg: WeightedGraph,
-                      S: Iterable[int]) -> tuple[WeightedGraph, ContractionMap]:
+def weighted_contract(wg: WeightedGraph, S: Iterable[int]) -> WeightedGraph:
     """Contract S and fold the collapsed Betti number into the weights."""
     S = frozenset(S)
     g = wg.graph
-    target, cmap = contract(g, S)
+    target = contract(g, S)
+    roots = contraction_roots(g, S)
 
     comp_vertices: dict[int, list[int]] = {v: [] for v in target.vertices}
     for v in g.vertices:
-        comp_vertices[cmap.vertex_map[v]].append(v)
+        comp_vertices[roots[v]].append(v)
     comp_edges: dict[int, int] = {v: 0 for v in target.vertices}
     for key in S:
-        comp_edges[cmap.vertex_map[g.edge_ends(key)[0]]] += 1
+        comp_edges[roots[g.edge_ends(key)[0]]] += 1
 
     w = {}
     for vbar in target.vertices:
         b1_comp = comp_edges[vbar] - len(comp_vertices[vbar]) + 1
         w[vbar] = b1_comp + sum(wg.weight[v] for v in comp_vertices[vbar])
-    return WeightedGraph(target, w), cmap
+    return WeightedGraph(target, w)
 
 
 def _contractions(wg: WeightedGraph):
@@ -67,7 +69,7 @@ def _contractions(wg: WeightedGraph):
     for e in g.edges:
         by_ends.setdefault(g.edge_ends(e), e)
     for e in by_ends.values():
-        yield weighted_contract(wg, {e})[0]
+        yield weighted_contract(wg, {e})
 
 
 def contraction_closure(keys) -> dict[tuple, set[tuple]]:

@@ -50,6 +50,12 @@ def loops_at(g, v) -> int:
     return sum(1 for e in g.edges if g.edge_ends(e) == (v, v))
 
 
+def contraction_roots(g, S) -> dict[int, int]:
+    """Where `contract(g, S)` sends each vertex of g: the least vertex of
+    its component in (V, S)."""
+    return _component_roots(g.vertices, (g.edge_ends(key) for key in S))
+
+
 def b1_of_edge_subset(g, S) -> int:
     """First Betti number of the subgraph (V(g), S), summed over components.
 
@@ -57,7 +63,7 @@ def b1_of_edge_subset(g, S) -> int:
     is the contracted set.
     """
     S = list(S)
-    roots = _component_roots(g.vertices, (g.edge_ends(key) for key in S))
+    roots = contraction_roots(g, S)
     return len(S) - len(g.vertices) + len(set(roots.values()))
 
 

@@ -222,7 +222,7 @@ def one_edge_covers(strata):
     covers = set()
     for i, wg in enumerate(strata):
         for e in wg.graph.edges:
-            smaller, _ = weighted_contract(wg, {e})
+            smaller = weighted_contract(wg, {e})
             j = index.get(canonical_form(smaller))
             if j is not None and j != i:
                 covers.add((i, j))
@@ -236,10 +236,10 @@ def _marked_contraction_keys(g, three_ec_middles):
     for e in g.edges:
         if g.is_loop(e):
             continue
-        mid, cm = contract(g, {e})
+        mid = contract(g, {e})
         if three_ec_middles and edge_connectivity_capped(mid) != 3:
             continue
-        keys.add(canonical_form(mid, marked={cm.image_vertex(e)}))
+        keys.add(canonical_form(mid, marked={g.edge_ends(e)[0]}))
     return keys
 
 

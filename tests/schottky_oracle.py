@@ -1,10 +1,13 @@
-"""The 3ec locus by filtering, and the lemma that lets the library skip it.
+"""The 3ec and pure loci by filtering, and the lemma that lets the library
+skip the 3ec filter.
 
 - **Filter.**  `filtered_move_graph` and `filtered_poset` close all
   classes or all strata and keep the ones `edge_connectivity_capped` calls
   3-edge-connected.  This is how the library found the unlegged 3ec
   classes and strata before it closed them from a 3ec seed and from the
-  3ec trivalent classes.
+  3ec trivalent classes.  `filtered_pure_poset` keeps the weight-zero
+  strata, as the library did before it closed the trivalent classes under
+  non-loop contractions.
 - **Lemma.**  `lift` follows the proof in `moduli.build_poset`'s
   docstring: it undoes one contraction at a time until a 3ec stable
   weighted graph is trivalent of weight 0.  Graphs are (weights, edges)
@@ -53,6 +56,15 @@ def filtered_poset(g: int):
     """The 3ec strata of genus g by key, and their covers by index."""
     below = contraction_closure(_classes(3, g, "all", 0)[0])
     keys, covers = _restrict(filter(_is_3ec, below), below)
+    return keys, sorted(covers)
+
+
+@lru_cache(maxsize=None)
+def filtered_pure_poset(g: int, n: int):
+    """The pure strata of M_{g,n} by key, and their covers by index."""
+    below = contraction_closure(_classes(3, g, "all", n)[0])
+    pure = (k for k in below if not any(c[0] for c in k[0]))
+    keys, covers = _restrict(pure, below)
     return keys, sorted(covers)
 
 

@@ -28,8 +28,8 @@ from tropilink.moduli import (build_poset, check_schottky_codim1,
 from tropilink.normal_form import build_polygon, epsilon, normalize
 
 from closure_oracle import weighted_contract
-from conftest import (b1_of_edge_subset, cli_env, is_hamiltonian,
-                      random_connected_multigraph)
+from conftest import (b1_of_edge_subset, cli_env, contraction_roots,
+                      is_hamiltonian, random_connected_multigraph)
 
 PAIRS = [(3, 2), (3, 3), (3, 4), (4, 3)]
 
@@ -68,7 +68,7 @@ def test_criterion_2_three_linkage_exhaustive():
             for g in cert.graphs:
                 assert edge_connectivity_capped(g) == 3
             for s in cert.steps:
-                mid, _ = contract(s.left, {s.left_edge})
+                mid = contract(s.left, {s.left_edge})
                 assert edge_connectivity_capped(mid) == 3
             total_pairs += 1
     ok(2, f"3ec move graphs connected and {total_pairs} pairs 3-linked "
@@ -98,8 +98,8 @@ def test_criterion_3_petersen_end_to_end(tmp_path):
     first = cert.steps[0]
     assert first.left == pet
     assert is_hamiltonian(first.right)
-    left_mid, _ = contract(first.left, {first.left_edge})
-    right_mid, _ = contract(first.right, {first.right_edge})
+    left_mid = contract(first.left, {first.left_edge})
+    right_mid = contract(first.right, {first.right_edge})
     assert are_isomorphic(left_mid, right_mid)
     ok(3, "CLI link+verify on Petersen vs the 10-gon succeeds; first step "
           "contracts a Petersen edge against a hamiltonian graph")
@@ -220,19 +220,20 @@ def test_criterion_9_conservation_identities():
                                          legs=rng.randint(0, 3), max_weight=2)
         g = wg.graph
         S = {e for e in g.edges if rng.random() < 0.4}
-        target, cmap = contract(g, S)
+        target = contract(g, S)
+        roots = contraction_roots(g, S)
         assert g.b1 == target.b1 + b1_of_edge_subset(g, S)
         per_vertex = {}
         sizes = {}
         for v in g.vertices:
-            sizes[cmap.vertex_map[v]] = sizes.get(cmap.vertex_map[v], 0) + 1
+            sizes[roots[v]] = sizes.get(roots[v], 0) + 1
         for e in S:
-            vbar = cmap.vertex_map[g.edge_ends(e)[0]]
+            vbar = roots[g.edge_ends(e)[0]]
             per_vertex[vbar] = per_vertex.get(vbar, 0) + 1
         decomposed = sum(per_vertex.get(v, 0) - sizes[v] + 1
                          for v in target.vertices)
         assert decomposed == b1_of_edge_subset(g, S)
-        out, _ = weighted_contract(wg, S)
+        out = weighted_contract(wg, S)
         assert genus(out) == genus(wg)
         assert len(out.graph.legs) == len(g.legs)
     ok(9, "Betti decomposition and weighted genus conservation hold on "

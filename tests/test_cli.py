@@ -7,7 +7,7 @@ import pytest
 
 from tropilink import cli, connectivity
 from tropilink.canonical import are_isomorphic
-from tropilink.certificates import certificate_to_json_dict
+from tropilink.certificates import StrongLinkFailure, certificate_to_json_dict
 from tropilink.graphs import (InternalConsistencyError, build_graph,
                               dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
@@ -562,8 +562,10 @@ def test_cycle_search_budget_exits_3(tmp_path, monkeypatch, capsys):
     assert "budget 10 exhausted" in json.loads(capsys.readouterr().out)["error"]
 
 
-@pytest.mark.parametrize("exc", [InternalConsistencyError("frame lost"),
-                                 KeyError(7)], ids=["internal", "other"])
+@pytest.mark.parametrize("exc", [
+    InternalConsistencyError("frame lost"),
+    StrongLinkFailure("not_isomorphic", "contractions are not isomorphic"),
+    KeyError(7)], ids=["internal", "strong_link", "other"])
 def test_internal_errors_exit_4(monkeypatch, capsys, exc):
     def broken(*args, **kwargs):
         raise exc

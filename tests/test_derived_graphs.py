@@ -49,12 +49,12 @@ def test_contract_equals_the_validating_constructor(seed, extra, legs, k,
     S = set(rng.sample(g.edges, min(k, len(g.edges))))
     if with_loop and loops:
         S.add(rng.choice(loops))
-    t, cm = contract(g, S)
+    t = contract(g, S)
     _assert_same_slots(t, _validated(t))
     assert t.legs is g.legs and t.leg_labels is g.leg_labels
-    assert cm.source is g and cm.contracted_set == S
-    assert cm.vertex_map == _component_roots(
-        g.vertices, (g.edge_ends(e) for e in S))
+    roots = _component_roots(g.vertices, (g.edge_ends(e) for e in S))
+    assert t.vertices == tuple(sorted(set(roots.values())))
+    assert t.endpoint == {h: roots[g.endpoint[h]] for h in t.half_edges}
 
     # a leg or an unknown key among the edges: the same GraphError as ever
     for extra_key in g.legs + (max(g.half_edges, default=0) + 1, -1):

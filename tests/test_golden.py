@@ -136,10 +136,10 @@ def _identity_witness(step):
     """True when strong_link_check could skip the canonical search: both
     contractions and their contracted-vertex images are equal.  The step's
     witness must then be the one the search gives."""
-    mid_l, cm_l = contract(step.left, {step.left_edge})
-    mid_r, cm_r = contract(step.right, {step.right_edge})
-    ml = cm_l.image_vertex(step.left_edge)
-    mr = cm_r.image_vertex(step.right_edge)
+    mid_l = contract(step.left, {step.left_edge})
+    mid_r = contract(step.right, {step.right_edge})
+    ml = step.left.edge_ends(step.left_edge)[0]
+    mr = step.right.edge_ends(step.right_edge)[0]
     if mid_l != mid_r or ml != mr:
         return False
     assert step.witness == isomorphism_witness(mid_r, mid_l, marked=({mr}, {ml}))

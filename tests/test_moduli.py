@@ -90,6 +90,23 @@ def test_codim1_connected_small():
             assert conn, (g, n, locus, comps)
 
 
+@pytest.mark.parametrize("g, n", [(2, 0), (3, 0), (2, 2), (3, 1), (4, 0)])
+def test_pure_closure_equals_filter(g, n):
+    # non-loop contractions of the trivalent classes reach every weight-0
+    # stratum that filtering all of M_{g,n} keeps, and the same covers
+    from schottky_oracle import filtered_pure_poset
+
+    keys, covers = filtered_pure_poset(g, n)
+    po = build_poset(g, n, "pure")
+    assert [s.key for s in po.strata] == keys
+    assert po.covers == covers
+
+
+def test_pure_closure_genus_5_counts():
+    po = build_poset(5, 0, "pure")
+    assert (len(po.strata), len(po.covers)) == (1076, 4981)
+
+
 def test_codim1_single_stratum():
     po = build_poset(1, 1, "pure")
     assert len(po.strata) == 1
@@ -135,7 +152,7 @@ def test_three_ec_locus_closed_and_filtered():
 
     for s in po.strata:
         for e in s.wgraph.graph.edges:
-            out, _ = weighted_contract(s.wgraph, {e})
+            out = weighted_contract(s.wgraph, {e})
             assert canonical_form(out) in keys
 
 
