@@ -28,8 +28,7 @@ from .certificates import LinkageCertificate, StrongLinkStep, strong_link_check
 from .connectivity import Cycle, edge_connectivity_capped
 from .graphs import Graph, GraphError, InternalConsistencyError
 from .hamiltonize import hamiltonize
-from .normal_form import (NormalizedForm, amplitude, build_polygon, epsilon,
-                          is_short, normalize, short_arc)
+from .normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
 
 # -- twisting at the half-edge level -----------------------------------------
@@ -156,21 +155,29 @@ def _select_claim_pair(nf: NormalizedForm):
     provides; the defect still drops by at least 1 in that case).  Returns
     (frame, j, k, key1, key2): nf rebased so the first chord's near side is
     1..j and the second's starts at k, or None when no pair exists.
+
+    A near side is the cyclic interval of n positions from s, ends
+    included: short when n <= gamma//2, ending at (s+n-2) % gamma + 1, and
+    disjoint from (s2, n2) when neither start lies in the other interval.
     """
     gamma = nf.gamma
-    near = {c[2]: short_arc(nf, c) for c in nf.chords
-            if 2 * amplitude(nf, c) < gamma}
+    near = {}
+    for i, j, key in nf.chords:
+        if 2 * (j - i) < gamma:
+            near[key] = (i, j - i + 1)
+        elif 2 * (j - i) > gamma:
+            near[key] = (j, gamma - j + i + 1)
     best = None
-    for c in nf.chords:
-        if not is_short(nf, c):
+    for k1, (fs, n1) in near.items():
+        if n1 > gamma // 2:
             continue
-        k1, arc1 = c[2], near[c[2]]
-        for k2, arc2 in near.items():
-            if k2 == k1 or len(arc1) > len(arc2):
+        fe = (fs + n1 - 2) % gamma + 1
+        for k2, (ss, n2) in near.items():
+            if k2 == k1 or n1 > n2:
                 continue
-            if not set(arc1).isdisjoint(arc2):
+            if (ss - fs) % gamma < n1 or (fs - ss) % gamma < n2:
                 continue
-            fs, fe, ss, se = arc1[0], arc1[-1], arc2[0], arc2[-1]
+            se = (ss + n2 - 2) % gamma + 1
             for dirn in (1, -1):
                 if dirn == 1:
                     gap = (ss - fe) % gamma
@@ -182,9 +189,9 @@ def _select_claim_pair(nf: NormalizedForm):
                     start = fe
                 if gap > other:
                     continue
-                j = len(arc1)
+                j = n1
                 k = j + gap
-                l = k + len(arc2) - 1
+                l = k + n2 - 1
                 cand = (gap, j, k, l, -dirn, start, k1, k2)
                 if best is None or cand < best:
                     best = cand

@@ -51,7 +51,7 @@ class Stratum:
 class StrataPoset:
     """Strata plus the one-edge-contraction cover relation."""
 
-    __slots__ = ("g", "n", "locus", "strata", "covers", "_index")
+    __slots__ = ("g", "n", "locus", "strata", "covers")
 
     def __init__(self, g, n, locus, strata, covers):
         self.g = g
@@ -59,7 +59,6 @@ class StrataPoset:
         self.locus = locus
         self.strata = strata
         self.covers = sorted(covers)
-        self._index = {s.key: i for i, s in enumerate(strata)}
 
     @property
     def max_dimension(self) -> int:

@@ -136,24 +136,6 @@ def amplitude(nf: NormalizedForm, chord: tuple[int, int]) -> int:
     return min(j - i, nf.gamma - j + i)
 
 
-def is_short(nf: NormalizedForm, chord: tuple[int, int]) -> bool:
-    return amplitude(nf, chord) <= nf.gamma // 2 - 1
-
-
-def short_arc(nf: NormalizedForm, chord: tuple[int, int]) -> tuple[int, ...]:
-    """Positions on the strictly shorter side of a chord, endpoints included.
-
-    Defined whenever the two sides have different lengths (always, except
-    for maximal-amplitude chords on an even cycle).
-    """
-    i, j = chord[0], chord[1]
-    if 2 * amplitude(nf, chord) == nf.gamma:
-        raise GraphError(f"chord {chord} has two sides of equal length")
-    if j - i < nf.gamma - j + i:
-        return tuple(range(i, j + 1))
-    return tuple(range(j, nf.gamma + 1)) + tuple(range(1, i + 1))
-
-
 def epsilon(nf: NormalizedForm) -> int:
     """Sum over chords of floor(gamma/2) minus amplitude; zero iff no short
     chord, iff the graph is the p-polygon."""

@@ -120,6 +120,16 @@ def test_verify_rejects_corruption(tmp_path):
     assert json.loads(r.stdout)["valid"] is False
 
 
+def test_verify_certificate_without_graphs_is_invalid(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"mode": "plain", "p": 3, "graphs": [],
+                                "steps": []}))
+    assert cli.main(["verify", str(path)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["valid"] is False
+    assert [pr["code"] for pr in report["problems"]] == ["empty"]
+
+
 def test_enumerate_json():
     r = run_cli("enumerate", "--p", "3", "--genus", "2")
     assert r.returncode == 0

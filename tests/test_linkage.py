@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic
@@ -19,6 +20,7 @@ from tropilink.linkage import _select_claim_pair, _walk, link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
 from conftest import is_hamiltonian
+from partner_chord_oracle import select_claim_pair
 from test_golden import _random_cubic
 from test_normal_form import nf_with_chords, p_hamiltonian_classes
 from twist_oracle import factor_twist, twist, twist_3ec
@@ -270,6 +272,48 @@ def test_twist_3ec_is_the_one_swap_walk():
     assert cases["a"] > 0 and cases["b"] > 0
 
 
+# -- claim pair selection ------------------------------------------------------
+
+
+def _same_claim_pair(nf) -> bool:
+    """Assert that the interval selection and the arc oracle agree on nf;
+    True when they select a pair."""
+    got, want = _select_claim_pair(nf), select_claim_pair(nf)
+    if got is None or want is None:
+        assert got is None and want is None, (nf, got, want)
+        return False
+    assert got[1:] == want[1:], nf
+    assert (got[0].order, got[0].cycle_edges) == \
+        (want[0].order, want[0].cycle_edges), nf
+    return True
+
+
+def test_claim_pair_equals_the_arc_oracle_on_every_rebasing():
+    frames = selected = 0
+    for p, bs in ((3, range(2, 6)), (4, range(2, 5))):
+        for b in bs:
+            for g in p_hamiltonian_classes(p, b):
+                nf = normalize(g)
+                for dirn in (1, -1):
+                    for start in range(1, nf.gamma + 1):
+                        frames += 1
+                        selected += _same_claim_pair(nf.rebased(start, dirn))
+    assert 0 < selected < frames
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from([3, 4]), st.integers(4, 40), st.randoms())
+def test_claim_pair_equals_the_arc_oracle_on_random_frames(p, gamma, rnd):
+    """A gamma-cycle plus the chords of a random pairing of p - 2 ends per
+    position, loops dropped; gamma is even when p = 3."""
+    if p == 3:
+        gamma -= gamma % 2
+    ends = [t for t in range(1, gamma + 1) for _ in range(p - 2)]
+    rnd.shuffle(ends)
+    _same_claim_pair(nf_with_chords(
+        gamma, [(a, b) for a, b in zip(ends[::2], ends[1::2]) if a != b]))
+
+
 # -- descent -------------------------------------------------------------------
 
 
@@ -468,6 +512,23 @@ def test_verifier_rejects_wrong_endpoints():
     rep = verify_certificate(cert, endpoints=(k, theta_graph()))
     assert not rep.valid
     assert rep.first_violation[1] == "endpoint"
+
+
+def test_verifier_reports_a_step_off_the_chain_first():
+    cert = link(petersen_graph(), build_polygon(3, 10), "3ec")
+    s = cert.steps[0]
+    assert cert.graphs[-1] != cert.graphs[0]
+    cert.steps[0] = StrongLinkStep(cert.graphs[-1], s.left_edge, s.right,
+                                   s.right_edge, s.witness, s.cert_cycles)
+    rep = verify_certificate(cert)
+    assert rep.first_violation[:2] == (0, "chain")
+    assert "left" in rep.first_violation[2]
+
+
+def test_verifier_reports_a_certificate_without_graphs_as_empty():
+    rep = verify_certificate(LinkageCertificate([], [], "plain", 3))
+    assert [(step, code) for step, code, _ in rep.problems] == [(None, "empty")]
+    assert rep.checked_steps == 0
 
 
 def test_witness_corruption_detected_and_located():

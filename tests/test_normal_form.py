@@ -5,10 +5,10 @@ from tropilink.canonical import are_isomorphic, canonical_form
 from tropilink.connectivity import edge_connectivity_capped, longest_cycle
 from tropilink.graphs import (GraphError, build_graph, k4_graph, theta_graph)
 from tropilink.normal_form import (NormalizedForm, amplitude, build_polygon,
-                                   epsilon, is_short, normalize, short_arc)
+                                   epsilon, normalize)
 
 from conftest import is_hamiltonian
-from partner_chord_oracle import find_partner_short_chord
+from partner_chord_oracle import find_partner_short_chord, is_short, short_arc
 
 
 def nf_with_chords(gamma, pairs):

@@ -88,6 +88,6 @@ def test_removed_helpers_stay_out_of_src():
     assert names.isdisjoint({"TropicalCurve", "stabilize", "canonical_hash",
                              "find_partner_short_chord", "b1_of_edge_subset",
                              "twist", "factor_twist", "twist_3ec",
-                             "is_p_regular"})
+                             "is_p_regular", "short_arc", "is_short"})
     assert not hasattr(tropilink.Graph, "loops_at")
     assert "_canon_cache" not in tropilink.Graph.__slots__

@@ -21,6 +21,11 @@ whose ends are its own first and last graphs since `verify` is given no
 endpoints.  `p` set to p + 1 must exit 1 and p = 2 exit 2.  The oracle
 does not read `cycles`, so a recorded cycle edge moved by +-1 must only
 not pass (exit 1 or 2).
+
+Two more classes: two edges of one chain graph exchange their half-edge
+ids, where `verify` must again agree with the oracle; and one edge dropped
+from a recorded cycle, at every position of every recorded cycle of the
+Petersen to P10 certificate, which must exit 1.
 """
 
 import contextlib
@@ -169,3 +174,46 @@ def test_verify_verdicts_equal_the_oracle_on_integer_steps(tmp_path):
             box[last] = old
     assert rcs["p"] == {1, 2} and {1, 2} <= rcs["other"], rcs
     assert 1 in rcs["cycles"] and rcs["cycles"] <= {1, 2}, rcs
+
+
+def _edge_ids_exchanged(doc, rng: random.Random) -> dict:
+    """A copy of doc in which two edges of one chain graph exchange their
+    half-edge ids."""
+    d = copy.deepcopy(doc)
+    graph = d["graphs"][rng.randrange(len(d["graphs"]))]
+    a, b = rng.sample(_ids(graph, "edges"), 2)
+    partner = {h["id"]: h["partner"] for h in graph["half_edges"]}
+    ids = {a: b, partner[a]: partner[b], b: a, partner[b]: partner[a]}
+    for h in graph["half_edges"]:
+        h["id"] = ids.get(h["id"], h["id"])
+        h["partner"] = ids.get(h["partner"], h["partner"])
+    graph["half_edges"].sort(key=lambda h: h["id"])
+    return d
+
+
+def test_verify_verdicts_equal_the_oracle_on_edge_id_exchanges(tmp_path):
+    oracle = perfbench_module("oracle")
+    rng = random.Random(20100801)
+    rcs = []
+    for doc in map(certificate_to_json_dict, _certificates()):
+        for _ in range(PER_CLASS):
+            d = _edge_ids_exchanged(doc, rng)
+            rc = _verify(tmp_path, d)
+            ends = [oracle.G.from_json(d["graphs"][k]) for k in (0, -1)]
+            found = oracle.check_certificate(d, *ends, d["mode"], d["p"])
+            assert rc in (0, 1) and (rc == 0) == (not found), (rc, found)
+            rcs.append(rc)
+    assert 1 in rcs, rcs
+
+
+def test_verify_rejects_every_dropped_recorded_cycle_edge(tmp_path):
+    doc = certificate_to_json_dict(
+        link(petersen_graph(), build_polygon(3, 10), "3ec"))
+    rcs = []
+    for step in doc["steps"]:
+        for cycle in step.get("cycles", ()):
+            for t in range(len(cycle)):
+                edge = cycle.pop(t)
+                rcs.append(_verify(tmp_path, doc))
+                cycle.insert(t, edge)
+    assert rcs == [1] * 24
