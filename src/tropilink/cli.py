@@ -132,16 +132,17 @@ def _cmd_poset(args) -> int:
 
 
 def _cmd_check_codim1(args) -> int:
-    poset = moduli.build_poset(args.genus, args.legs, args.locus)
-    connected, components = moduli.connected_through_codim_one(poset)
+    connected, components = moduli.connected_through_codim_one(
+        args.genus, args.legs, args.locus)
     payload = {
         "genus": args.genus,
         "legs": args.legs,
         "locus": args.locus,
         "connected": connected,
-        "top_dimension": poset.max_dimension,
-        "components": components,
-        "pure_dimension_violations": poset.pure_dimension_violations(),
+        "top_dimension": max(moduli.Stratum(key).dimension
+                             for comp in components for key in comp),
+        "components": [[form_hash(key) for key in comp]
+                       for comp in components],
     }
     sys.stdout.write(dumps_canonical(payload))
     return 0 if connected else 1

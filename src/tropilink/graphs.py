@@ -263,15 +263,6 @@ class WeightedGraph:
     def total_weight(self) -> int:
         return sum(self.weight.values())
 
-    def is_stable(self) -> bool:
-        g = self.graph
-        for v in g.vertices:
-            if self.weight[v] == 0 and g.valency(v) < 3:
-                return False
-            if self.weight[v] == 1 and g.valency(v) < 1:
-                return False
-        return True
-
     def __eq__(self, other):
         return (
             isinstance(other, WeightedGraph)

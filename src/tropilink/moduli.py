@@ -11,12 +11,16 @@ one contraction closure of the 3-regular classes, for `3ec` the
 3-edge-connected ones and for `preg:P` the P-regular ones, which contracts
 canonical keys and builds no graph; the pure locus contracts non-loop
 edges only.  A stratum reads its dimension and genus off its key.
+
+Connectivity through codimension one reads the top two levels only: the
+top classes, one round of the move out of them, and the covers that round
+records.  No stratum of lower dimension is built.
 """
 
 from __future__ import annotations
 
-from .atlas import (_classes, _closure, _edge_contractions, components,
-                    contraction_closure)
+from .atlas import (_classes, _closure, _contractions, _edge_contractions,
+                    components)
 from .canonical import form_hash, from_canonical_form
 from .graphs import GraphError, WeightedGraph
 
@@ -110,6 +114,30 @@ def _parse_locus(locus) -> tuple[str, int | None]:
                      "with P >= 3 written in plain decimal")
 
 
+def _top_cells(g: int, n: int, locus):
+    """The canonical keys of the locus's top cells inside M_{g,n}, and the
+    move whose closure from them is the locus: one-edge weighted
+    contractions, or non-loop ones for pure.  Every top cell has the same
+    edge count, so every move lowers the dimension by one."""
+    if n < 0:
+        raise GraphError("the number of legs must be >= 0")
+    if 2 * g - 2 + n <= 0:
+        raise GraphError("moduli need 2g-2+n > 0")
+    kind, p = _parse_locus(locus)
+    if kind in ("3ec", "preg") and n != 0:
+        raise GraphError(f"locus {kind} is defined for n = 0 only")
+
+    if kind == "preg":
+        try:
+            tops = _classes(p, g, "all", 0)[0]
+        except GraphError:
+            raise GraphError(f"no {p}-regular pure classes at genus {g}") \
+                from None
+    else:
+        tops = _classes(3, g, "3ec" if kind == "3ec" else "all", n)[0]
+    return tops, _edge_contractions if kind == "pure" else _contractions
+
+
 def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     """Stratification poset of the chosen locus inside M_{g,n}.
 
@@ -142,24 +170,7 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
        maximal ones are disjoint; each takes at most 3 of the d edges, so
        some pair has ends in no common one.
     """
-    if n < 0:
-        raise GraphError("the number of legs must be >= 0")
-    if 2 * g - 2 + n <= 0:
-        raise GraphError("moduli need 2g-2+n > 0")
-    kind, p = _parse_locus(locus)
-    if kind in ("3ec", "preg") and n != 0:
-        raise GraphError(f"locus {kind} is defined for n = 0 only")
-
-    if kind == "preg":
-        try:
-            tops = _classes(p, g, "all", 0)[0]
-        except GraphError:
-            raise GraphError(f"no {p}-regular pure classes at genus {g}") \
-                from None
-    else:
-        tops = _classes(3, g, "3ec" if kind == "3ec" else "all", n)[0]
-    below = (_closure(tops, _edge_contractions) if kind == "pure"
-             else contraction_closure(tops))
+    below = _closure(*_top_cells(g, n, locus))
     strata = list(map(Stratum, sorted(below)))
     index = {s.key: i for i, s in enumerate(strata)}
     covers = {(i, index[t]) for i, s in enumerate(strata)
@@ -167,17 +178,27 @@ def build_poset(g: int, n: int, locus="all") -> StrataPoset:
     return StrataPoset(g, n, locus, strata, covers)
 
 
-def connected_through_codim_one(poset: StrataPoset):
-    """Restrict to strata of dimension >= d-1 (d the top dimension), join
-    them along covers, and report (connected?, components)."""
-    if not poset.strata:
+def connected_through_codim_one(g: int, n: int = 0, locus="all"):
+    """Is the locus inside M_{g,n} connected through codimension one?
+    Returns (connected?, components): each component is the sorted list of
+    the canonical keys of its strata of dimension d and d-1 (d the top
+    dimension), and components are ordered by their least key.
+
+    Only the two top levels are built.  All top cells of a locus have one
+    edge count d, and the locus is the closure of its top cells under a
+    move that removes one edge (`build_poset`).  So every stratum of
+    dimension d-1 is one move away from a top cell, and the covers between
+    the two levels are exactly the moves out of the top cells: one round
+    of the move, with no closure, gives both."""
+    tops, move = _top_cells(g, n, locus)
+    if not tops:
         raise GraphError("empty poset")
-    d = poset.max_dimension
-    keep = [i for i, s in enumerate(poset.strata) if s.dimension >= d - 1]
-    keepset = set(keep)
-    comps = components(keep, ((a, b) for a, b in poset.covers
-                              if a in keepset and b in keepset))
-    return len(comps) == 1, comps
+    below = {key: set(move(key)) for key in tops}
+    keys = sorted(set(tops).union(*below.values()))
+    index = {key: i for i, key in enumerate(keys)}
+    comps = components(range(len(keys)), ((index[key], index[t])
+                                          for key in tops for t in below[key]))
+    return len(comps) == 1, [[keys[i] for i in comp] for comp in comps]
 
 
 def check_schottky_codim1(g: int) -> bool:
@@ -185,8 +206,7 @@ def check_schottky_codim1(g: int) -> bool:
     combinatorial stand-in for the genus-g Schottky image."""
     if g < 2:
         raise GraphError("the Schottky check needs g >= 2")
-    connected, _ = connected_through_codim_one(build_poset(g, 0, "3ec"))
-    return connected
+    return connected_through_codim_one(g, 0, "3ec")[0]
 
 
 def poset_to_json_dict(poset: StrataPoset) -> dict:

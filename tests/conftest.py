@@ -45,6 +45,18 @@ def is_hamiltonian(g, budget=None) -> bool:
     return c is not None and c.length == len(g.vertices)
 
 
+def is_stable(wg) -> bool:
+    """Every weight-0 vertex of the weighted graph has valency >= 3, and
+    every weight-1 vertex valency >= 1."""
+    g = wg.graph
+    for v in g.vertices:
+        if wg.weight[v] == 0 and g.valency(v) < 3:
+            return False
+        if wg.weight[v] == 1 and g.valency(v) < 1:
+            return False
+    return True
+
+
 def loops_at(g, v) -> int:
     """Number of loops at vertex v of g."""
     return sum(1 for e in g.edges if g.edge_ends(e) == (v, v))

@@ -8,6 +8,9 @@ skip the 3ec filter.
   3ec trivalent classes.  `filtered_pure_poset` keeps the weight-zero
   strata, as the library did before it closed the trivalent classes under
   non-loop contractions.
+- **Codimension one.**  `connected_through_codim_one` reads the strata of
+  dimension d and d-1 off a whole poset and joins them along its covers,
+  as the library did before it built only those two levels.
 - **Lemma.**  `lift` follows the proof in `moduli.build_poset`'s
   docstring: it undoes one contraction at a time until a 3ec stable
   weighted graph is trivalent of weight 0.  Graphs are (weights, edges)
@@ -18,9 +21,10 @@ skip the 3ec filter.
 from functools import lru_cache
 from itertools import combinations
 
-from tropilink.atlas import _classes, contraction_closure
+from tropilink.atlas import _classes, components, contraction_closure
 from tropilink.canonical import from_canonical_form
 from tropilink.connectivity import edge_connectivity_capped
+from tropilink.graphs import GraphError
 
 from conftest import perfbench_module
 
@@ -66,6 +70,20 @@ def filtered_pure_poset(g: int, n: int):
     pure = (k for k in below if not any(c[0] for c in k[0]))
     keys, covers = _restrict(pure, below)
     return keys, sorted(covers)
+
+
+def connected_through_codim_one(poset):
+    """Restrict a `StrataPoset` to strata of dimension >= d-1 (d the top
+    dimension), join them along covers, and report (connected?,
+    components), each component a sorted list of stratum indices."""
+    if not poset.strata:
+        raise GraphError("empty poset")
+    d = poset.max_dimension
+    keep = [i for i, s in enumerate(poset.strata) if s.dimension >= d - 1]
+    keepset = set(keep)
+    comps = components(keep, ((a, b) for a, b in poset.covers
+                              if a in keepset and b in keepset))
+    return len(comps) == 1, comps
 
 
 def from_key(key):

@@ -195,7 +195,7 @@ def test_criterion_7_moduli_posets():
     assert po.dimension_profile() == {3: 2, 2: 2, 1: 2, 0: 1}
     for g, n in [(1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]:
         for locus in ("all", "pure"):
-            conn, comps = connected_through_codim_one(build_poset(g, n, locus))
+            conn, comps = connected_through_codim_one(g, n, locus)
             assert conn, (g, n, locus, comps)
     ok(7, "the (2,0) poset has 7 strata with profile {3:2,2:2,1:2,0:1}; "
           "all and pure loci are connected through codimension one up to "

@@ -5,16 +5,22 @@ digests were recorded before the move graph was read off the enumeration
 closure (it used to be recomputed from pairwise marked contractions), so
 any change to which classes are joined, to node ids or to the order of
 classes, edges or components fails here.  An intended byte change must
-update a digest and say so in CHANGES.md.
+update a digest and say so in CHANGES.md.  The `check-codim1` digests were
+re-pinned when its components came to name strata by the ids of `poset`
+output instead of by index into the whole poset; what those bytes mean is
+checked against `poset` and the full-poset check below.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 
 import pytest
 
-from tropilink import cli
+from tropilink import cli, moduli
+
+from schottky_oracle import connected_through_codim_one as full_poset_check
 
 GOLDEN = {
     "movegraph --p 3 --genus 2 --format json": (0, "e03155b87933a2430a0f0e397d223cb71cd00a073d5893beed05ef60390cbe24"),
@@ -53,36 +59,64 @@ GOLDEN = {
     "movegraph --p 3 --genus 2 --legs 2 --format dot": (0, "210ba54366137a48251c01561fdee19fa2a324a0516587f085f9a1cbc005bae0"),
     "movegraph --p 3 --genus 3 --legs 1 --format dot": (0, "d63d9bec6bbef3c04cd81b48e8eee9354d3cfe5ebd5bca8c1dab3b0e745651c7"),
     "movegraph --p 3 --genus 2 --legs 1 --3ec --format dot": (0, "6996506f9876ad34a118a565d21eef60d072a12d8b27179b35d2c5d2aeea6826"),
-    "check-codim1 --genus 2 --locus all": (0, "1110d764d2f88919d51ce9b02e949d712a3ad55d748975d8e13786d0fa6b43a1"),
-    "check-codim1 --genus 2 --locus pure": (0, "317712ad34760019d2f0e7b1f3963944a51c416d8fb864ffe211b0db4974900e"),
-    "check-codim1 --genus 2 --locus 3ec": (0, "d09469dba1032ebf0f7f14ea6559306cbb79d157013ba7fb06ffa6dac534b20b"),
-    "check-codim1 --genus 2 --locus preg:4": (0, "7ead06ee3c98b0d2b2ff1e34750f02808ad41cf6180323f1f12d26dba6c2a11b"),
-    "check-codim1 --genus 3 --locus all": (0, "7fc6407db7642dbfce789c24788516c7fbf4e83ab91403e7d5f46ecac4325afb"),
-    "check-codim1 --genus 3 --locus pure": (0, "30a402f6fc7c8f32f1279455f8b6259a093380dcb3f43cf2f513d9de38583ed5"),
-    "check-codim1 --genus 3 --locus 3ec": (0, "df27524a6b8c7aba0f5cafd33b0dd4275eeffebb3bfedcd509f773d3cdbc906d"),
-    "check-codim1 --genus 3 --locus preg:4": (0, "5ba3f12881f135ed50e62f818c0300150d056f69013fd09a55fc32155f5f928a"),
-    "check-codim1 --genus 4 --locus all": (0, "71faa0d8b2c7e52de0b65cc6b1ccc06b192f083414c2fc71405332acb52a3ed1"),
-    "check-codim1 --genus 4 --locus pure": (0, "5e02767ce673dab0050c256ecaa73e32da6a31b232774af0537ba362d51ec799"),
-    "check-codim1 --genus 4 --locus 3ec": (0, "47a8b0cc697fe9e408805dd86fc5e7a4ce4954aebc3f63b7e638fb1dcfb40e93"),
-    "check-codim1 --genus 4 --locus preg:4": (0, "6e27105550eec6803681ce8696484e6d89e5c16d170e47c736df3297d8235345"),
-    "check-codim1 --genus 1 --legs 2": (0, "af3a268676ed934e4e13db739ff5f4155a52807d9a2a6d1edf6a6d85c5d57ac0"),
-    "check-codim1 --genus 1 --legs 2 --locus pure": (0, "3ba8d1110b5e41e6e456dff450caef936c9060efe99012951aa19eb386e3866a"),
-    "check-codim1 --genus 2 --legs 1": (0, "d4f6c87d075cbb482732c4604bed6dea348dc7b975ed8b7d202ef17271511073"),
-    "check-codim1 --genus 2 --legs 1 --locus pure": (0, "44fb5e2798f24335e6dbf4e651f0507cdbcdc521707e8f4370bd4f5166f99cb2"),
-    "check-codim1 --genus 2 --legs 2": (0, "39931deb1f70e5bbd582f2a551f79e8d87f310ae832d27e33bf80f4294af7ebe"),
-    "check-codim1 --genus 2 --legs 2 --locus pure": (0, "983b33b0145282cda7a75abb64278fca8a69e292e57ec1a347542d2b13118bb7"),
-    "check-codim1 --genus 3 --legs 1": (0, "73825716acf722e29b142c82a40d4f18ad1250c777868c60872f9e1fb4835d3c"),
-    "check-codim1 --genus 3 --legs 1 --locus pure": (0, "e355eadde196ab4ef625ce8256a8d63f67f2a18acc543735392b80e92a2c76e3"),
+    "check-codim1 --genus 2 --locus all": (0, "76c2fb629c18e4117cefb7b7a3ab7e18e7a48185df094e13666dfe073f8e054e"),
+    "check-codim1 --genus 2 --locus pure": (0, "4e5d84e37f8496cf0978771fdc0ec601fd2126197ab70f05f4710a941cebc6a5"),
+    "check-codim1 --genus 2 --locus 3ec": (0, "c8c9033a2bebbdf1f66431210efb75cf457ffc250aae19d827759812e9514f01"),
+    "check-codim1 --genus 2 --locus preg:4": (0, "1ca7589f93d360695753468a73d6307b9b1769ce8059a82a9cbaefe772f764cb"),
+    "check-codim1 --genus 3 --locus all": (0, "ecd1786ffa8399dc7bf5e93a9e6328116daab6f38c438f743f34fcaf3121407e"),
+    "check-codim1 --genus 3 --locus pure": (0, "3d967706ea1d17af409883467b4284b2af173e54b9b40dcd3cfc7161ac32ebe2"),
+    "check-codim1 --genus 3 --locus 3ec": (0, "48cd142f943880136a68c93e8e156c6a96b66263b5b646890e7f65b2dc3a5bce"),
+    "check-codim1 --genus 3 --locus preg:4": (0, "64cabd0e8cb21e3ae0d3dda41506b1b3533dc4f609610f66cacfff995152f08e"),
+    "check-codim1 --genus 4 --locus all": (0, "4a5105131bbca7af4b848629dae1b965047569c9e2fde461bfa8c1a09f1e0689"),
+    "check-codim1 --genus 4 --locus pure": (0, "c9fbffdef1044c2111182aa109738395baceeb9a7aed55c271c93c4e6b26a3b2"),
+    "check-codim1 --genus 4 --locus 3ec": (0, "155657c2acc7b0e9b7b8f16fd8b56a0d036cfdfb9aa6b16454812f4e80cac54c"),
+    "check-codim1 --genus 4 --locus preg:4": (0, "6c20246bc01bf5f499657c4e3126e5f95182665b6247c3572dff96184c397888"),
+    "check-codim1 --genus 1 --legs 2": (0, "956a724a015c3f04bcd82b321d6c6f745b63e3385b4770c4c494b4f49af921d7"),
+    "check-codim1 --genus 1 --legs 2 --locus pure": (0, "f04ef21092533351ce136e8296b8d5c1bc42f256798cecdae81cc33a6c947ecb"),
+    "check-codim1 --genus 2 --legs 1": (0, "ba9d0c94448f1aad05adc5d152c9e17a540e711d4ee63cbc14547aa71f3aef5b"),
+    "check-codim1 --genus 2 --legs 1 --locus pure": (0, "4c7d4d2d35df45ace252f4345b9ba5bdb1ca0fa372ee76d6ce4067f5de4cea57"),
+    "check-codim1 --genus 2 --legs 2": (0, "fb801a7e9bbe1b44a7ffc58371657acd8866881f221dc0d9f239b24258b2494d"),
+    "check-codim1 --genus 2 --legs 2 --locus pure": (0, "673a7d2402e4ac6eafc1c3fbc14790676af8b72886e6ba38fb66c91982f97324"),
+    "check-codim1 --genus 3 --legs 1": (0, "6843fe31844146f53e185e2a51b39535bbfd61b3180478e4b215e5fba39d4d77"),
+    "check-codim1 --genus 3 --legs 1 --locus pure": (0, "18b781750fc4b5e8a10f55b7ae1cdebbef58e809defa8100ea23542d799f04dd"),
 }
 
 
-def run(argv: str) -> tuple[int, str]:
+def output(argv: str) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(argv.split())
-    return rc, hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return rc, out.getvalue()
+
+
+def run(argv: str) -> tuple[int, str]:
+    rc, text = output(argv)
+    return rc, hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("argv", sorted(GOLDEN))
 def test_output_matches_golden_digest(argv):
     assert run(argv) == GOLDEN[argv], f"{argv}: output bytes changed"
+
+
+@pytest.mark.parametrize(
+    "argv", sorted(a for a in GOLDEN if a.startswith("check-codim1")))
+def test_codim1_ids_are_the_near_top_strata_of_poset(argv):
+    # `check-codim1` names the strata of dimension >= top-1 by the ids that
+    # `poset` prints for the same locus, split as the whole poset splits
+    # them, with the verdict and exit status that the whole poset gives
+    rc, text = output(argv)
+    doc = json.loads(text)
+    _, poset_text = output(argv.replace("check-codim1", "poset", 1))
+    strata = json.loads(poset_text)["strata"]
+    top = max(s["dimension"] for s in strata)
+    ids = [s["id"] for s in strata]
+
+    po = moduli.build_poset(doc["genus"], doc["legs"], doc["locus"])
+    connected, comps = full_poset_check(po)
+    assert (rc, doc["connected"]) == (GOLDEN[argv][0], connected)
+    assert rc == (0 if connected else 1)
+    assert doc["top_dimension"] == top
+    assert doc["components"] == [[ids[i] for i in c] for c in comps]
+    assert sorted(i for c in doc["components"] for i in c) == \
+        sorted(s["id"] for s in strata if s["dimension"] >= top - 1)

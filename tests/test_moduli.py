@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from tropilink.canonical import canonical_form
@@ -86,8 +88,29 @@ def test_genus_and_legs_constant_across_poset():
 def test_codim1_connected_small():
     for g, n in [(1, 1), (1, 2), (2, 0), (2, 1), (3, 0)]:
         for locus in ("all", "pure"):
-            conn, comps = connected_through_codim_one(build_poset(g, n, locus))
+            conn, comps = connected_through_codim_one(g, n, locus)
             assert conn, (g, n, locus, comps)
+
+
+TWO_LEVEL_POINTS = (
+    [(g, 0, locus) for g in (2, 3, 4, 5)
+     for locus in ("all", "pure", "3ec", "preg:4")]
+    + [(g, n, locus) for g, n in [(1, 2), (2, 1), (2, 2), (3, 1)]
+       for locus in ("all", "pure")]
+    + [(6, 0, "3ec"), (6, 0, "pure")])
+
+
+@pytest.mark.parametrize("g, n, locus", TWO_LEVEL_POINTS)
+def test_two_levels_equal_the_full_poset_oracle(g, n, locus):
+    # the check that builds only the top two levels gives the verdict and
+    # the components that the whole poset gives
+    from schottky_oracle import connected_through_codim_one as oracle
+
+    po = build_poset(g, n, locus)
+    want_conn, want_comps = oracle(po)
+    conn, comps = connected_through_codim_one(g, n, locus)
+    assert conn == want_conn
+    assert comps == [[po.strata[i].key for i in c] for c in want_comps]
 
 
 @pytest.mark.parametrize("g, n", [(2, 0), (3, 0), (2, 2), (3, 1), (4, 0)])
@@ -110,8 +133,8 @@ def test_pure_closure_genus_5_counts():
 def test_codim1_single_stratum():
     po = build_poset(1, 1, "pure")
     assert len(po.strata) == 1
-    conn, comps = connected_through_codim_one(po)
-    assert conn and comps == [[0]]
+    conn, comps = connected_through_codim_one(1, 1, "pure")
+    assert conn and comps == [[po.strata[0].key]]
 
 
 def test_schottky_codim1():
@@ -129,6 +152,13 @@ def test_genus_5_strata_count():
 
 def test_schottky_codim1_genus_5():
     assert check_schottky_codim1(5)
+
+
+def test_schottky_codim1_genus_7_within_3_s():
+    # 57 top cells and 259 of codimension one; the whole poset has 17 324
+    start = time.perf_counter()
+    assert check_schottky_codim1(7)
+    assert time.perf_counter() - start <= 3.0
 
 
 def test_schottky_maximal_dimension():
@@ -159,7 +189,7 @@ def test_three_ec_locus_closed_and_filtered():
 def test_preg_locus():
     po = build_poset(3, 0, "preg:4")
     assert po.max_dimension == 4 * (3 - 1) // (4 - 2)
-    conn, _ = connected_through_codim_one(po)
+    conn, _ = connected_through_codim_one(3, 0, "preg:4")
     assert conn
     for i in po.maximal_strata():
         s = po.strata[i]
@@ -213,7 +243,10 @@ def test_pure_dimension_violations_reported_empty():
 
 def test_hand_built_poset_violations_and_components():
     """A stratum below no maximal one, and a codimension-one locus in two
-    pieces: both are reported exactly, in index order."""
+    pieces: both are reported exactly, in index order, the components by
+    the full-poset oracle."""
+    from schottky_oracle import connected_through_codim_one as oracle
+
     graphs = [
         build_graph([(0, 0)], weights={0: 1}),               # 0: dim 1
         theta_graph(),                                       # 1: dim 3
@@ -227,7 +260,7 @@ def test_hand_built_poset_violations_and_components():
     po = StrataPoset(2, 0, "all", strata, {(1, 3), (3, 5), (0, 2)})
     assert po.maximal_strata() == [1, 4]
     assert po.pure_dimension_violations() == [0, 2]
-    assert connected_through_codim_one(po) == (False, [[1, 3], [4]])
+    assert oracle(po) == (False, [[1, 3], [4]])
 
 
 def test_connected_adjacency_edge_cases():

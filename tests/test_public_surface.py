@@ -90,4 +90,5 @@ def test_removed_helpers_stay_out_of_src():
                              "twist", "factor_twist", "twist_3ec",
                              "is_p_regular", "short_arc", "is_short"})
     assert not hasattr(tropilink.Graph, "loops_at")
+    assert not hasattr(tropilink.WeightedGraph, "is_stable")
     assert "_canon_cache" not in tropilink.Graph.__slots__
