@@ -10,14 +10,16 @@ counts on the diagonal.
   itself: merge the rows of the ends of a non-loop edge, one per nonzero
   off-diagonal entry, then split the merged row into two p-valent ones in
   every way, by how many of its loops, edges to each neighbour and which
-  legs go to each side.  The linkage theorem says the strong-link move
-  graph on p-regular classes of fixed first Betti number is connected, so
-  the closure of a single seed graph reaches every class.  It also says
-  that 3-edge-connected classes link through 3-edge-connected ones, so
-  the unlegged 3ec classes are the closure of the p-polygon under the
-  links whose targets are 3ec.  The recorded targets are that move graph;
-  the graph-level move, which splits over half-edge subsets, is their
-  oracle in the tests.
+  legs go to each side.  Only one pair of ends per orbit of the class's
+  automorphisms, which one canonical search of its key finds, is
+  contracted: pairs in one orbit give the same targets.  The linkage
+  theorem says the strong-link move graph on p-regular classes of fixed
+  first Betti number is connected, so the closure of a single seed graph
+  reaches every class.  It also says that 3-edge-connected classes link
+  through 3-edge-connected ones, so the unlegged 3ec classes are the
+  closure of the p-polygon under the links whose targets are 3ec.  The
+  recorded targets are that move graph; the graph-level move, which splits
+  over half-edge subsets, is their oracle in the tests.
 - **Moduli strata.**  The move is a one-edge weighted contraction, on the
   key itself, one per nonzero matrix entry.  A loop at i raises i's weight
   by one and lowers its loop count by one and its valency by two.  An i-j
@@ -119,10 +121,28 @@ def _strong_links(key: tuple):
     sides are alike (weight 0, valency p, unmarked), so a split and its
     mirror give one class and only the lesser is searched.  The split that
     puts the contracted edge's ends back rebuilds the source class, whose
-    key is known without a search."""
+    key is known without a search.
+
+    Only one pair per orbit of the source's automorphisms is contracted
+    (McKay, "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).
+    An automorphism s maps the splits at (i, j) one-to-one onto the splits
+    at (s(i), s(j)), each onto one with the same target key.  One canonical
+    search of the key's own tables stores automorphisms that generate a
+    subgroup, so the orbits merged under them are at most as coarse as the
+    true ones.  The pair contracted is the orbit's least, which comes first
+    in the lexicographic order of pairs, so every target of a skipped pair
+    has been yielded before it: the target sets and the order in which
+    targets first appear are those of the move on every pair."""
     colors, rows = key
     adj = _adjacency(rows)
-    for i, j in [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if j > i]:
+    pairs = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if j > i]
+    search = _Canonizer(colors, adj)
+    search.run()
+    orbit = _component_roots(pairs, (((i, j), tuple(sorted((s[i], s[j]))))
+                                     for s in search.autos for i, j in pairs))
+    for i, j in pairs:
+        if orbit[i, j] != (i, j):
+            continue
         c, a = _merge(colors, adj, i, j)
         _, val, nl, legs, _ = c[i]
         half = val // 2  # p - 1 half-edges go to each side

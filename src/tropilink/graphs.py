@@ -364,10 +364,10 @@ def petersen_graph() -> Graph:
 # -- contraction -------------------------------------------------------------
 
 
-def _component_roots(vertices: Iterable[int],
-                     pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+def _component_roots(vertices: Iterable, pairs: Iterable[tuple]) -> dict:
     """Union-find: map every vertex to the least vertex of its component in
-    the graph on `vertices` with an edge for each (a, b) in `pairs`."""
+    the graph on `vertices` with an edge for each (a, b) in `pairs`.  The
+    vertices may be any hashable, totally ordered values."""
     # a parent is never larger than its child, so after the unions one pass
     # in increasing order resolves every vertex to its root
     parent = {v: v for v in sorted(vertices)}

@@ -121,6 +121,8 @@ def _top_cells(g: int, n: int, locus):
     edge count, so every move lowers the dimension by one."""
     if n < 0:
         raise GraphError("the number of legs must be >= 0")
+    if g < 0:
+        raise GraphError("the genus must be >= 0")
     if 2 * g - 2 + n <= 0:
         raise GraphError("moduli need 2g-2+n > 0")
     kind, p = _parse_locus(locus)

@@ -280,16 +280,20 @@ def test_malformed_graph_fields_exit_2(tmp_path, capsys, graph, mutate):
     assert "malformed graph JSON" in json.loads(capsys.readouterr().out)["error"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["poset", "--genus", "2", "--legs", "-1"],
-    ["check-codim1", "--genus", "2", "--legs", "-1"],
-    ["enumerate", "--p", "3", "--genus", "2", "--legs", "-1"],
-    ["poset", "--genus", "2", "--locus", "preg:x"],
-    ["poset", "--genus", "2", "--locus", "preg:"],
+@pytest.mark.parametrize("argv, message", [
+    (["poset", "--genus", "2", "--legs", "-1"], "legs must be >= 0"),
+    (["check-codim1", "--genus", "2", "--legs", "-1"], "legs must be >= 0"),
+    (["enumerate", "--p", "3", "--genus", "2", "--legs", "-1"],
+     "legs must be >= 0"),
+    (["poset", "--genus", "2", "--locus", "preg:x"], "unknown locus"),
+    (["poset", "--genus", "2", "--locus", "preg:"], "unknown locus"),
+    (["poset", "--genus", "-1", "--legs", "5"], "the genus must be >= 0"),
+    (["check-codim1", "--genus", "-1", "--legs", "5"],
+     "the genus must be >= 0"),
 ])
-def test_out_of_range_arguments_exit_2(capsys, argv):
+def test_out_of_range_arguments_exit_2(capsys, argv, message):
     assert cli.main(argv) == 2
-    assert "error" in json.loads(capsys.readouterr().out)
+    assert message in json.loads(capsys.readouterr().out)["error"]
 
 
 @pytest.mark.parametrize("command", ["poset", "check-codim1", "enumerate"])

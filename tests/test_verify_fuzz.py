@@ -8,8 +8,12 @@ one JSON object.  A mutation that still verifies must describe the same
 chain: graphs pairwise isomorphic to the original's.  Under `graphs` the
 reader is strict: a mutation there that still verifies must leave the field
 as it was (same type and value) or delete one whose default it held (a
-weight 0, an empty `legs`).  The certificates are those of acceptance
-criteria 1 (plain), 3 (Petersen to P10, 3ec) and 6 (legged).
+weight 0, an empty `legs`).  A mutation that loads (exit 0 or 1) must get
+the verdict of `perfbench/oracle.py`, an independent checker, on the
+mutated chain, unless it lies inside a step's `cycles`, which the oracle
+does not read: such a mutation must only not pass, unless it changes
+nothing.  The certificates are those of acceptance criteria 1 (plain), 3
+(Petersen to P10, 3ec) and 6 (legged).
 
 Two kinds of insertion must be malformed (exit 2) wherever they land: a
 field the schema does not know, added to any object of the certificate, and
@@ -33,6 +37,8 @@ from tropilink.certificates import (certificate_from_json_dict,
 from tropilink.graphs import petersen_graph
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
+
+from conftest import perfbench_module
 
 DELETE = object()
 POOL = [None, True, False, 0, 1, -1, 2, 3, 10 ** 6, 1.5, -0.0, "", "x", "3",
@@ -105,6 +111,7 @@ def _changes_nothing(doc, path, value) -> bool:
 
 
 def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
+    oracle = perfbench_module("oracle")
     workdir, certs = originals
     docs = [d for _, d in certs]
     for cert, doc in certs:
@@ -121,6 +128,14 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
         assert rc in (0, 1, 2), err.getvalue()
         report = json.loads(out.getvalue())
         assert isinstance(report, dict)
+        if "cycles" in path:
+            assert rc != 0 or _changes_nothing(docs[i], path, value)
+        elif rc != 2:
+            ends = [oracle.G.from_json(doc["graphs"][k]) for k in (0, -1)]
+            # the schema lets `leg_mode` be absent; the oracle reads it
+            found = oracle.check_certificate({"leg_mode": "labeled", **doc},
+                                             *ends, doc["mode"], doc["p"])
+            assert (rc == 0) == (not found), (path, value, rc, found)
         if rc == 0:
             graphs = certificate_from_json_dict(doc).graphs
             original = certs[i][0].graphs
