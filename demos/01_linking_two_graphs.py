@@ -9,8 +9,7 @@ resulting certificates independently of the code that produced them.
 
 from tropilink import (build_polygon, dumbbell_graph, link, petersen_graph,
                        theta_graph, verify_certificate)
-from tropilink.certificates import certificate_to_json_dict
-from tropilink.graphs import dumps_canonical
+from tropilink.certificates import _certificate_json
 
 
 def describe(cert, a_name, b_name):
@@ -38,7 +37,8 @@ def main():
     print("every graph in the 3ec chain stays 3-edge-connected;")
     print("the first step contracts one Petersen edge against a hamiltonian graph.")
 
-    blob = dumps_canonical(certificate_to_json_dict(cert2))
+    # the text `tropilink link` writes, streamed one graph or step at a time
+    blob = "".join(_certificate_json(cert2))
     print(f"certificate JSON: {len(blob)} bytes, reproducible byte-for-byte")
 
 

@@ -132,12 +132,15 @@ def _strong_links(key: tuple):
     true ones.  The pair contracted is the orbit's least, which comes first
     in the lexicographic order of pairs, so every target of a skipped pair
     has been yielded before it: the target sets and the order in which
-    targets first appear are those of the move on every pair."""
+    targets first appear are those of the move on every pair.  The search
+    is skipped with fewer than two pairs or pairwise distinct colours,
+    which only the identity preserves."""
     colors, rows = key
     adj = _adjacency(rows)
     pairs = [(i, j) for i, nbrs in enumerate(adj) for j in nbrs if j > i]
     search = _Canonizer(colors, adj)
-    search.run()
+    if len(pairs) > 1 and len(set(colors)) < len(colors):
+        search.run()
     orbit = _component_roots(pairs, (((i, j), tuple(sorted((s[i], s[j]))))
                                      for s in search.autos for i, j in pairs))
     for i, j in pairs:

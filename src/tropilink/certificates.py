@@ -15,10 +15,12 @@ bijectivity or endpoint compatibility and is caught by the verifier.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .canonical import are_isomorphic, isomorphism_witness
 from .connectivity import Cycle, edge_connectivity_capped
 from .graphs import (Graph, GraphError, _json_fields, _json_int, contract,
-                     from_json_dict, to_json_dict, underlying_graph)
+                     dumps_canonical, from_json_dict, underlying_graph)
 
 
 class StrongLinkStep:
@@ -296,30 +298,44 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
 # -- JSON ---------------------------------------------------------------------
 
 
-def certificate_to_json_dict(cert: LinkageCertificate) -> dict:
-    steps = []
+def _block(row, values, ind: str, brackets: str = "[]") -> str:
+    """The JSON list (or object) at indent ind of the texts row(value)."""
+    text = (",\n  " + ind).join(map(row, values))
+    return f"{brackets[0]}\n  {ind}{text}\n{ind}{brackets[1]}" if text else brackets
+
+
+def _certificate_json(cert: LinkageCertificate):
+    """The bytes `graphs.dumps_canonical` writes for the certificate's JSON
+    document, from the graphs' slots and the witness maps, in chunks of one
+    graph or step.  Witness keys are decimal strings in string order."""
+    i6, i8, r = " " * 6, " " * 8, "\n" + " " * 10
+    # each row is formatted once: the graphs of a chain share most rows
+    half, leg, vertex, entry = (cache(t.__mod__) for t in (
+        f'{{{r}"id": %d,{r}"partner": %d,{r}"vertex": %d\n{i8}}}',
+        f'{{{r}"half_edge": %d,{r}"label": %d\n{i8}}}',
+        f'{{{r}"id": %d,{r}"weight": 0\n{i8}}}', '"%d": %d'))
+    sep = '{\n  "graphs": [\n    '
+    for g in cert.graphs:
+        hs, ls = g.half_edges, g.legs
+        ends = zip(hs, map(g.involution.get, hs), map(g.endpoint.get, hs))
+        yield (f'{sep}{{\n{i6}"half_edges": {_block(half, ends, i6)},\n{i6}"legs": '
+               f'{_block(leg, zip(ls, map(g.leg_labels.get, ls)), i6)},'
+               f'\n{i6}"vertices": {_block(vertex, g.vertices, i6)}\n    }}')
+        sep = ",\n    "
+    yield (('{\n  "graphs": []' if sep[0] == "{" else "\n  ]") + f',\n  "leg_mode": '
+           f'"labeled",\n  "mode": "{cert.mode}",\n  "p": {cert.p},\n  "steps": ')
+    sep = "[\n    "
     for i, s in enumerate(cert.steps):
-        av, ae, al = s.witness
-        entry = {
-            "left_index": i,
-            "left_edge": s.left_edge,
-            "right_edge": s.right_edge,
-            "witness": {
-                "vertices": {str(k): v for k, v in sorted(av.items())},
-                "edges": {str(k): v for k, v in sorted(ae.items())},
-                "legs": {str(k): v for k, v in sorted(al.items())},
-            },
-        }
-        if s.cert_cycles is not None:
-            entry["cycles"] = [list(c) for c in s.cert_cycles]
-        steps.append(entry)
-    return {
-        "mode": cert.mode,
-        "p": cert.p,
-        "leg_mode": "labeled",
-        "graphs": [to_json_dict(g) for g in cert.graphs],
-        "steps": steps,
-    }
+        cycles = "" if s.cert_cycles is None else f'\n{i6}"cycles": ' + \
+            dumps_canonical(s.cert_cycles)[:-1].replace("\n", "\n" + i6) + ","
+        av, ae, al = (_block(entry, ((k, m[k]) for k in sorted(m, key=str)),
+                             i8, "{}") for m in s.witness)
+        yield (f'{sep}{{{cycles}\n{i6}"left_edge": {s.left_edge},'
+               f'\n{i6}"left_index": {i},\n{i6}"right_edge": {s.right_edge},'
+               f'\n{i6}"witness": {{\n{i8}"edges": {ae},\n{i8}"legs": {al},'
+               f'\n{i8}"vertices": {av}\n{i6}}}\n    }}')
+        sep = ",\n    "
+    yield ("[]" if sep[0] == "[" else "\n  ]") + "\n}\n"
 
 
 def _int(x, what: str) -> int:
@@ -361,7 +377,7 @@ _WITNESS_FIELDS = frozenset(("vertices", "edges", "legs"))
 
 
 def certificate_from_json_dict(d: dict) -> LinkageCertificate:
-    """Inverse of certificate_to_json_dict.  The certificate, each step and
+    """Inverse of _certificate_json.  The certificate, each step and
     each witness carry no fields beyond the ones that function writes (a
     step's `cycles`, a witness's `legs` and the certificate's `leg_mode` may
     be absent); graphs follow graphs.from_json_dict.  Anything else raises

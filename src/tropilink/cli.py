@@ -20,7 +20,7 @@ import traceback
 
 from . import atlas, moduli
 from .canonical import form_hash, from_canonical_form
-from .certificates import (certificate_from_json_dict, certificate_to_json_dict,
+from .certificates import (_certificate_json, certificate_from_json_dict,
                            verify_certificate)
 from .connectivity import CycleSearchBudgetExceeded
 from .graphs import (GraphError, dumps_canonical, from_json_dict, to_dot,
@@ -44,15 +44,16 @@ def _load_graph(path: str):
     return underlying_graph(from_json_dict(_read_json(path, "graph file")))
 
 
-def _emit(text: str, out: str | None):
+def _emit(chunks, out: str | None):
+    """Write an iterable of texts to the file out, else to stdout."""
     if out:
         try:
             with open(out, "w") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
         except OSError as exc:
             raise GraphError(f"cannot write output file {out}: {exc}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
 
 
 def _cmd_link(args) -> int:
@@ -62,7 +63,7 @@ def _cmd_link(args) -> int:
     report = verify_certificate(cert, endpoints=(g1, g2))
     if not report.valid:
         raise GraphError(f"produced certificate fails to verify: {report}")
-    _emit(dumps_canonical(certificate_to_json_dict(cert)), args.output)
+    _emit(_certificate_json(cert), args.output)
     return 0
 
 
@@ -80,7 +81,7 @@ def _cmd_enumerate(args) -> int:
         args.p, args.genus, "3ec" if args.three_ec else "all", legs=args.legs
     )
     payload = [to_json_dict(g) for g in classes]
-    _emit(dumps_canonical(payload), args.output)
+    _emit([dumps_canonical(payload)], args.output)
     return 0
 
 
@@ -99,7 +100,7 @@ def _cmd_movegraph(args) -> int:
             "edges": sorted([i, j] for i in adj for j in adj[i] if i < j),
             "connected": atlas.is_connected_adjacency(adj),
         }
-        _emit(dumps_canonical(payload), args.output)
+        _emit([dumps_canonical(payload)], args.output)
     else:
         lines = ["graph moves {"]
         for i in range(len(classes)):
@@ -109,25 +110,25 @@ def _cmd_movegraph(args) -> int:
                 if i < j:
                     lines.append(f"  n{ids[i]} -- n{ids[j]};")
         lines.append("}")
-        _emit("\n".join(lines) + "\n", args.output)
+        _emit(["\n".join(lines) + "\n"], args.output)
     return 0
 
 
 def _cmd_polygon(args) -> int:
     g = build_polygon(args.p, args.gamma)
     if args.format == "dot":
-        _emit(to_dot(g), args.output)
+        _emit([to_dot(g)], args.output)
     else:
-        _emit(dumps_canonical(to_json_dict(g)), args.output)
+        _emit([dumps_canonical(to_json_dict(g))], args.output)
     return 0
 
 
 def _cmd_poset(args) -> int:
     poset = moduli.build_poset(args.genus, args.legs, args.locus)
     if args.format == "dot":
-        _emit(moduli.poset_to_dot(poset), args.output)
+        _emit([moduli.poset_to_dot(poset)], args.output)
     else:
-        _emit(dumps_canonical(moduli.poset_to_json_dict(poset)), args.output)
+        _emit([dumps_canonical(moduli.poset_to_json_dict(poset))], args.output)
     return 0
 
 

@@ -82,11 +82,21 @@ class NormalizedForm:
     def rebased(self, start: int, dirn: int) -> "NormalizedForm":
         """The same cycle read from position `start` in direction dirn (+1
         or -1): position t of the result is position start + dirn*(t-1)
-        here, and its e_1 is the cycle edge leaving start that way."""
-        return NormalizedForm(
-            self.base, [self.vertex(start + dirn * t) for t in range(self.gamma)],
-            [self.cycle_edge(start + t if dirn == 1 else start - 1 - t)
-             for t in range(self.gamma)])
+        here, and its e_1 is the cycle edge leaving start that way.  So its
+        e_t joins its v_t and v_{t+1} as this frame's edges do, and it is
+        built unchecked: its chords are this frame's, each end q moved to
+        dirn*(q - start) % gamma + 1."""
+        gamma, nf = self.gamma, object.__new__(NormalizedForm)
+        to = [0] + [dirn * (q - start) % gamma + 1 for q in range(1, gamma + 1)]
+        o, c = self.order, self.cycle_edges
+        k, m = (start - 1) % gamma, (start - 2) % gamma
+        nf.base = self.base
+        nf.order = o[k:] + o[:k] if dirn == 1 else o[k::-1] + o[:k:-1]
+        nf.cycle_edges = c[k:] + c[:k] if dirn == 1 else c[m::-1] + c[:m:-1]
+        nf.pos = dict(zip(nf.order, range(1, gamma + 1)))
+        nf.chords = tuple(sorted((min(to[i], to[j]), max(to[i], to[j]), e)
+                                 for i, j, e in self.chords))
+        return nf
 
     def chord_positions(self) -> list[tuple[int, int]]:
         return [(i, j) for i, j, _ in self.chords]

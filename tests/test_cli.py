@@ -1,5 +1,7 @@
 import copy
 import json
+import os
+import random
 import subprocess
 import sys
 
@@ -7,7 +9,7 @@ import pytest
 
 from tropilink import cli, connectivity
 from tropilink.canonical import are_isomorphic
-from tropilink.certificates import StrongLinkFailure, certificate_to_json_dict
+from tropilink.certificates import StrongLinkFailure
 from tropilink.graphs import (InternalConsistencyError, build_graph,
                               dumps_canonical, from_json_dict, k4_graph,
                               petersen_graph, theta_graph, dumbbell_graph,
@@ -16,7 +18,8 @@ from tropilink.atlas import enumerate_p_regular
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
 
-from conftest import cli_env
+from certificate_json_oracle import certificate_to_json_dict
+from conftest import cli_env, perfbench_module
 
 
 def run_cli(*args, cwd=None):
@@ -102,6 +105,56 @@ def test_unwritable_output_exits_2(tmp_path, capsys, argv, where):
     stdout, stderr = capsys.readouterr()
     assert json.loads(stdout)["error"].startswith(f"cannot write output file {out}: ")
     assert "Traceback" not in stderr
+
+
+def test_link_prints_the_bytes_it_writes(tmp_path, capsys):
+    write_graph(tmp_path / "petersen.json", petersen_graph())
+    write_graph(tmp_path / "p10.json", build_polygon(3, 10))
+    out = tmp_path / "cert.json"
+    argv = ["link", str(tmp_path / "petersen.json"), str(tmp_path / "p10.json"),
+            "--mode", "3ec"]
+    assert cli.main(argv) == 0
+    printed = capsys.readouterr().out
+    assert cli.main(argv + ["-o", str(out)]) == 0
+    assert out.read_text() == printed
+    assert json.loads(printed)["steps"][1]["cycles"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_link_to_a_full_device_exits_2(tmp_path):
+    """A write that fails after the file opened (no space left) is an
+    unwritable output file too: exit 2, a JSON error and no traceback."""
+    write_graph(tmp_path / "petersen.json", petersen_graph())
+    write_graph(tmp_path / "p10.json", build_polygon(3, 10))
+    r = run_cli("link", "petersen.json", "p10.json", "-o", "/dev/full",
+                cwd=tmp_path)
+    assert r.returncode == 2, r.stdout + r.stderr
+    assert json.loads(r.stdout)["error"].startswith(
+        "cannot write output file /dev/full: ")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
+def test_link_streams_a_large_certificate_in_little_memory(tmp_path):
+    """`link` on the seeded 80-vertex simple cubic pair writes a 34 MB
+    certificate chunk by chunk: the child's peak RSS stays below 100 MB
+    (it was 204 MB while the whole text was built first)."""
+    inputs = perfbench_module("inputs")
+    rng = random.Random(80)
+    for name in ("a.json", "b.json"):
+        inputs.write_graph(tmp_path / name,
+                           inputs.random_regular(rng, 80, 3, simple=True))
+    out = tmp_path / "cert.json"
+    child = subprocess.Popen(
+        [sys.executable, "-m", "tropilink.cli", "link", "a.json", "b.json",
+         "-o", str(out)], cwd=tmp_path, env=cli_env(),
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert out.stat().st_size > 30_000_000
+    out.unlink()
+    assert usage.ru_maxrss < 100 * 1024
 
 
 def test_verify_rejects_corruption(tmp_path):

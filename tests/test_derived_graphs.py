@@ -14,12 +14,12 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from tropilink import cli
-from tropilink.certificates import certificate_to_json_dict
 from tropilink.graphs import (Graph, GraphError, _component_roots,
                               build_graph, contract, petersen_graph)
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
 
+from certificate_json_oracle import certificate_to_json_dict
 from conftest import perfbench_module, random_connected_multigraph
 
 def _assert_same_slots(g: Graph, want: Graph):

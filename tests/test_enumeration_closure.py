@@ -236,6 +236,27 @@ def test_key_strong_links_halve_the_canonical_searches(monkeypatch, b, filt,
     assert searches[0] < searches[1] / 2
 
 
+@pytest.mark.parametrize("legs, classes, searches", [(2, 10, 42), (3, 58, 377)])
+def test_key_strong_links_skip_the_self_search_that_merges_nothing(
+        monkeypatch, legs, classes, searches):
+    """With labeled legs most classes have pairwise distinct vertex
+    colours, which only the identity preserves, so their automorphism
+    search is skipped: the closure of the genus-2 classes with 2 and 3 legs
+    takes 42 and 377 canonical searches, not 45 and 389.  The targets are
+    those of the graph-level move (`test_key_strong_links_match_graph_move`
+    covers both points)."""
+    runs = []
+    run = canonical._Canonizer.run
+
+    def counted(self):
+        runs.append(self)
+        return run(self)
+
+    monkeypatch.setattr(canonical._Canonizer, "run", counted)
+    assert len(_classes(3, 2, "all", legs)[0]) == classes
+    assert len(runs) == searches
+
+
 def _shuffled(obj, rng):
     """The same graph with its vertex and half-edge ids renamed at random."""
     wg = obj if isinstance(obj, WeightedGraph) else WeightedGraph(obj)

@@ -31,8 +31,7 @@ import random
 
 import pytest
 
-from tropilink.certificates import (LinkageCertificate,
-                                    certificate_to_json_dict)
+from tropilink.certificates import LinkageCertificate
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.canonical import isomorphism_witness
 from tropilink.graphs import (GraphError, build_graph, contract,
@@ -41,6 +40,7 @@ from tropilink.hamiltonize import hamiltonize
 from tropilink.linkage import link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, normalize
 
+from certificate_json_oracle import certificate_to_json_dict
 from conftest import is_hamiltonian
 from enumeration_oracle import enumerate_p_regular
 from twist_oracle import factor_twist, twist_3ec

@@ -10,8 +10,8 @@ from tropilink.canonical import are_isomorphic
 import tropilink.connectivity as connectivity
 import tropilink.normal_form as normal_form
 from tropilink.certificates import (LinkageCertificate, StrongLinkFailure,
-                                    StrongLinkStep, certificate_to_json_dict,
-                                    strong_link_check, verify_certificate)
+                                    StrongLinkStep, strong_link_check,
+                                    verify_certificate)
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
                               k4_graph, petersen_graph, theta_graph)
@@ -19,6 +19,7 @@ from tropilink.hamiltonize import hamiltonize
 from tropilink.linkage import _select_claim_pair, _walk, link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
 
+from certificate_json_oracle import certificate_to_json_dict
 from conftest import is_hamiltonian
 from partner_chord_oracle import select_claim_pair
 from test_golden import _random_cubic

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic, canonical_form
@@ -61,6 +62,38 @@ def test_rebased_reads_the_same_cycle_from_any_start():
         assert back.pos[nf.vertex(s)] == 1
         assert sorted(key for *_, key in back.chords) == \
             sorted(key for *_, key in nf.chords)
+
+
+def _assert_rebasings_validate(nf):
+    """Every rebasing of nf equals the validating constructor's frame on
+    the same order and cycle edges, slot by slot."""
+    for dirn in (1, -1):
+        for start in range(1, nf.gamma + 1):
+            got = nf.rebased(start, dirn)
+            want = NormalizedForm(nf.base, got.order, got.cycle_edges)
+            assert got.base is nf.base
+            assert (got.order, got.cycle_edges, got.chords, got.pos) == \
+                (want.order, want.cycle_edges, want.chords, want.pos)
+
+
+def test_rebased_equals_the_validating_constructor_exhaustively():
+    for p, b in [(3, 3), (3, 4), (4, 3)]:
+        for g in p_hamiltonian_classes(p, b):
+            _assert_rebasings_validate(normalize(g))
+
+
+@st.composite
+def frames(draw):
+    gamma = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(1, gamma), st.integers(1, gamma))
+                          .filter(lambda c: c[0] != c[1]), max_size=10))
+    return nf_with_chords(gamma, pairs)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(frames())
+def test_rebased_equals_the_validating_constructor_on_random_frames(nf):
+    _assert_rebasings_validate(nf)
 
 
 def test_chord_count_is_b_minus_one_exhaustively():

@@ -1,10 +1,16 @@
 """The verifier is total on mutated certificates.
 
 One field of a valid certificate's JSON (at any depth) is replaced by a
-value from a fixed pool, or deleted, and `tropilink verify` is run on the
-result in-process.  Whatever the mutation, the exit code is 0 (valid), 1
-(invalid) or 2 (malformed), never 4 or an escaped exception, and stdout is
-one JSON object.  A mutation that still verifies must describe the same
+value from a fixed pool, or deleted, or an integer field is replaced by
+another integer (its value plus or minus one, or another integer of the
+same document), and `tropilink verify` is run on the result in-process.
+The pool's values mostly have the wrong type and stop in the reader (exit
+2); the integer mutations mostly load, so at least a quarter of all
+mutations reach the checks past the reader.
+
+Whatever the mutation, the exit code is 0 (valid), 1 (invalid) or 2
+(malformed), never 4 or an escaped exception, and stdout is one JSON
+object.  A mutation that still verifies must describe the same
 chain: graphs pairwise isomorphic to the original's.  Under `graphs` the
 reader is strict: a mutation there that still verifies must leave the field
 as it was (same type and value) or delete one whose default it held (a
@@ -32,12 +38,12 @@ from hypothesis import given, settings, strategies as st
 from tropilink import cli
 from tropilink.atlas import enumerate_p_regular
 from tropilink.canonical import are_isomorphic
-from tropilink.certificates import (certificate_from_json_dict,
-                                    certificate_to_json_dict)
+from tropilink.certificates import certificate_from_json_dict
 from tropilink.graphs import petersen_graph
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
 
+from certificate_json_oracle import certificate_to_json_dict
 from conftest import perfbench_module
 
 DELETE = object()
@@ -76,12 +82,39 @@ def _paths_by_depth(doc) -> dict:
     return by_depth
 
 
+def _field(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _int_paths(doc, by_depth) -> tuple[dict, list]:
+    """({depth: [path, ...]} over the integer fields of doc, the distinct
+    integers of doc in order), from its _paths_by_depth."""
+    paths = {}
+    for depth, found in by_depth.items():
+        found = [path for path in found if type(_field(doc, path)) is int]
+        if found:
+            paths[depth] = found
+    ids = sorted({_field(doc, path) for found in paths.values() for path in found})
+    return paths, ids
+
+
 @st.composite
-def mutations(draw, fields):
+def mutations(draw, docs, fields, ints):
     """(certificate index, path to a field, replacement or DELETE), where
-    fields[i] is _paths_by_depth of certificate i.  The depth is drawn
-    first, so top-level fields and deep ones are hit alike."""
+    fields[i] is _paths_by_depth of docs[i] and ints[i] its _int_paths.
+    The depth is drawn first, so top-level fields and deep ones are hit
+    alike.  Half of the mutations keep the type: an integer field becomes
+    its value plus or minus one, or another integer of the same document,
+    so that most of them load and meet the checks past the reader."""
     i = draw(st.integers(0, len(fields) - 1))
+    if draw(st.booleans()):
+        paths, ids = ints[i]
+        path = draw(st.sampled_from(paths[draw(st.sampled_from(sorted(paths)))]))
+        old = _field(docs[i], path)
+        return i, path, draw(st.sampled_from([old - 1, old + 1])
+                             | st.sampled_from(ids))
     depth = draw(st.sampled_from(sorted(fields[i])))
     return i, draw(st.sampled_from(fields[i][depth])), draw(st.sampled_from(POOL))
 
@@ -102,9 +135,7 @@ def _changes_nothing(doc, path, value) -> bool:
     """Whether replacing (or deleting) the field at path leaves the same
     document up to a defaulted field: same type and value, or the deletion
     of a weight 0 or of an empty `legs`."""
-    old = doc
-    for key in path:
-        old = old[key]
+    old = _field(doc, path)
     if value is DELETE:
         return (path[-1], old) in (("weight", 0), ("legs", []))
     return type(value) is type(old) and value == old
@@ -117,8 +148,11 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
     for cert, doc in certs:
         assert cli.main(["verify", _write(workdir, doc)]) == 0
 
-    @settings(max_examples=600, derandomize=True, deadline=None)
-    @given(mutations([_paths_by_depth(doc) for doc in docs]))
+    fields = [_paths_by_depth(doc) for doc in docs]
+    loaded = []
+
+    @settings(max_examples=1200, derandomize=True, deadline=None)
+    @given(mutations(docs, fields, [_int_paths(d, f) for d, f in zip(docs, fields)]))
     def check(mutation):
         i, path, value = mutation
         doc = _mutated(docs[i], path, value)
@@ -126,6 +160,7 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             rc = cli.main(["verify", _write(workdir, doc)])
         assert rc in (0, 1, 2), err.getvalue()
+        loaded.append(rc != 2)
         report = json.loads(out.getvalue())
         assert isinstance(report, dict)
         if "cycles" in path:
@@ -145,6 +180,7 @@ def test_verify_exits_0_1_or_2_on_mutated_certificates(originals):
                 assert _changes_nothing(docs[i], path, value), (path, value)
 
     check()
+    assert sum(loaded) >= 300, (sum(loaded), len(loaded))
 
 
 UNKNOWN_KEYS = ["color", "lengths", "", "x", "Id", "weight ", "half-edges",

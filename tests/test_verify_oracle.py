@@ -36,11 +36,11 @@ import random
 
 from tropilink import cli
 from tropilink.atlas import enumerate_p_regular
-from tropilink.certificates import certificate_to_json_dict
 from tropilink.graphs import build_graph, petersen_graph
 from tropilink.linkage import link
 from tropilink.normal_form import build_polygon
 
+from certificate_json_oracle import certificate_to_json_dict
 from conftest import perfbench_module
 
 PER_CLASS = 20   # mutations of each class on each certificate
