@@ -32,7 +32,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .graphs import Graph, GraphError, WeightedGraph, _as_weighted, build_graph
+from .graphs import (Graph, GraphError, WeightedGraph, _as_weighted,
+                     _component_roots, build_graph)
 
 
 class _Canonizer:
@@ -123,22 +124,17 @@ class _Canonizer:
                 self.best = (enc, order, path)
             return depth
         cell = partition[target]
-        parent = {x: x for x in cell}  # orbits on the cell, by union-find
-
-        def root(x):
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        folded, merged, explored = 0, False, []
+        # orbits on the cell of the stored automorphisms that fix the path;
+        # they map the refined cell to itself
+        folded, fixing, orbit, explored = 0, [], None, []
         for x in cell:
-            for auto in self.autos[folded:]:
-                if all(auto[y] == y for y in path):
-                    merged = True
-                    for y in cell:
-                        parent[root(y)] = root(auto[y])
+            new = [a for a in self.autos[folded:] if all(a[y] == y for y in path)]
             folded = len(self.autos)
-            if merged and root(x) in {root(y) for y in explored}:
+            if new:
+                fixing += new
+                orbit = _component_roots(
+                    cell, ((y, a[y]) for a in fixing for y in cell))
+            if orbit and orbit[x] in {orbit[y] for y in explored}:
                 continue
             branched = (
                 partition[:target]

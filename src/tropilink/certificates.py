@@ -19,8 +19,9 @@ from functools import cache
 
 from .canonical import are_isomorphic, isomorphism_witness
 from .connectivity import Cycle, edge_connectivity_capped
-from .graphs import (Graph, GraphError, _json_fields, _json_int, contract,
-                     dumps_canonical, from_json_dict, underlying_graph)
+from .graphs import (Graph, GraphError, _block, _graph_json, _json_fields,
+                     _json_int, contract, dumps_canonical, from_json_dict,
+                     underlying_graph)
 
 
 class StrongLinkStep:
@@ -298,29 +299,16 @@ def verify_certificate(cert: LinkageCertificate, p: int | None = None,
 # -- JSON ---------------------------------------------------------------------
 
 
-def _block(row, values, ind: str, brackets: str = "[]") -> str:
-    """The JSON list (or object) at indent ind of the texts row(value)."""
-    text = (",\n  " + ind).join(map(row, values))
-    return f"{brackets[0]}\n  {ind}{text}\n{ind}{brackets[1]}" if text else brackets
-
-
 def _certificate_json(cert: LinkageCertificate):
     """The bytes `graphs.dumps_canonical` writes for the certificate's JSON
     document, from the graphs' slots and the witness maps, in chunks of one
     graph or step.  Witness keys are decimal strings in string order."""
-    i6, i8, r = " " * 6, " " * 8, "\n" + " " * 10
-    # each row is formatted once: the graphs of a chain share most rows
-    half, leg, vertex, entry = (cache(t.__mod__) for t in (
-        f'{{{r}"id": %d,{r}"partner": %d,{r}"vertex": %d\n{i8}}}',
-        f'{{{r}"half_edge": %d,{r}"label": %d\n{i8}}}',
-        f'{{{r}"id": %d,{r}"weight": 0\n{i8}}}', '"%d": %d'))
+    i6, i8 = " " * 6, " " * 8
+    # one memo for the chain: its graphs share most rows, each formatted once
+    entry, memo = cache('"%d": %d'.__mod__), {}
     sep = '{\n  "graphs": [\n    '
     for g in cert.graphs:
-        hs, ls = g.half_edges, g.legs
-        ends = zip(hs, map(g.involution.get, hs), map(g.endpoint.get, hs))
-        yield (f'{sep}{{\n{i6}"half_edges": {_block(half, ends, i6)},\n{i6}"legs": '
-               f'{_block(leg, zip(ls, map(g.leg_labels.get, ls)), i6)},'
-               f'\n{i6}"vertices": {_block(vertex, g.vertices, i6)}\n    }}')
+        yield sep + _graph_json(g, "    ", memo)
         sep = ",\n    "
     yield (('{\n  "graphs": []' if sep[0] == "{" else "\n  ]") + f',\n  "leg_mode": '
            f'"labeled",\n  "mode": "{cert.mode}",\n  "p": {cert.p},\n  "steps": ')

@@ -7,14 +7,17 @@ Errors surface as a JSON object on stdout and a nonzero exit status: 2 for
 malformed input, an unreadable input file or an unwritable output file, 3
 when a resource limit (the cycle-search budget) is hit, 4 for an internal
 error (a failed consistency check or any other exception), whose traceback
-goes to stderr.
+goes to stderr.  When stdout itself cannot be written, the JSON error goes
+to stderr and the status is 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 import traceback
 
@@ -24,7 +27,7 @@ from .certificates import (_certificate_json, certificate_from_json_dict,
                            verify_certificate)
 from .connectivity import CycleSearchBudgetExceeded
 from .graphs import (GraphError, dumps_canonical, from_json_dict, to_dot,
-                     to_json_dict, underlying_graph)
+                     underlying_graph)
 from .linkage import link
 from .normal_form import build_polygon
 
@@ -44,16 +47,27 @@ def _load_graph(path: str):
     return underlying_graph(from_json_dict(_read_json(path, "graph file")))
 
 
-def _emit(chunks, out: str | None):
-    """Write an iterable of texts to the file out, else to stdout."""
+def _emit(chunks, out: str | None = None):
+    """Write an iterable of texts to the file out, else to stdout, flushed.
+    An unwritable stdout exits 2 with the JSON error on stderr, as argparse
+    exits on a bad command line; stdout then points at the null device, so
+    the interpreter's flush at exit cannot fail again."""
     if out:
         try:
             with open(out, "w") as fh:
                 fh.writelines(chunks)
         except OSError as exc:
             raise GraphError(f"cannot write output file {out}: {exc}") from exc
-    else:
+        return
+    try:
         sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.stderr.write(dumps_canonical(
+            {"error": f"cannot write to stdout: {exc}"}))
+        raise SystemExit(2) from None
 
 
 def _cmd_link(args) -> int:
@@ -72,7 +86,7 @@ def _cmd_verify(args) -> int:
         raise GraphError(f"--p must be >= 3, got {args.p}")
     cert = certificate_from_json_dict(_read_json(args.cert, "certificate"))
     report = verify_certificate(cert, p=args.p, mode=args.mode)
-    sys.stdout.write(dumps_canonical(report.to_json_dict()))
+    _emit([dumps_canonical(report.to_json_dict())])
     return 0 if report.valid else 1
 
 
@@ -80,8 +94,7 @@ def _cmd_enumerate(args) -> int:
     classes = atlas.enumerate_p_regular(
         args.p, args.genus, "3ec" if args.three_ec else "all", legs=args.legs
     )
-    payload = [to_json_dict(g) for g in classes]
-    _emit([dumps_canonical(payload)], args.output)
+    _emit([dumps_canonical(classes)], args.output)
     return 0
 
 
@@ -94,7 +107,7 @@ def _cmd_movegraph(args) -> int:
     if args.format == "json":
         payload = {
             "classes": [
-                {"index": i, "id": ids[i], "graph": to_json_dict(g)}
+                {"index": i, "id": ids[i], "graph": g}
                 for i, g in enumerate(classes)
             ],
             "edges": sorted([i, j] for i in adj for j in adj[i] if i < j),
@@ -119,7 +132,7 @@ def _cmd_polygon(args) -> int:
     if args.format == "dot":
         _emit([to_dot(g)], args.output)
     else:
-        _emit([dumps_canonical(to_json_dict(g))], args.output)
+        _emit([dumps_canonical(g)], args.output)
     return 0
 
 
@@ -145,7 +158,7 @@ def _cmd_check_codim1(args) -> int:
         "components": [[form_hash(key) for key in comp]
                        for comp in components],
     }
-    sys.stdout.write(dumps_canonical(payload))
+    _emit([dumps_canonical(payload)])
     return 0 if connected else 1
 
 
@@ -221,16 +234,14 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except GraphError as exc:
-        sys.stdout.write(dumps_canonical({"error": str(exc)}))
-        return 2
+        error, status = str(exc), 2
     except CycleSearchBudgetExceeded as exc:
-        sys.stdout.write(dumps_canonical({"error": f"cycle search {exc}"}))
-        return 3
+        error, status = f"cycle search {exc}", 3
     except Exception as exc:
         traceback.print_exc()
-        sys.stdout.write(dumps_canonical(
-            {"error": f"internal error: {type(exc).__name__}: {exc}"}))
-        return 4
+        error, status = f"internal error: {type(exc).__name__}: {exc}", 4
+    _emit([dumps_canonical({"error": error})])
+    return status
 
 
 if __name__ == "__main__":

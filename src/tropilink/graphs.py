@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from itertools import chain
+from functools import cache
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Iterable, Mapping
 
 
@@ -545,11 +545,12 @@ def dumps_canonical(d) -> str:
     The layout is `json.dumps(d, indent=2, sort_keys=True) + "\\n"`: a
     two-space indent, keys sorted by their value before they are
     stringified, non-ASCII characters as `\\u` escapes, and a trailing
-    newline.  json's pure-Python encoder, which it runs for an indent, is
-    slow on certificates, so `_write_json` writes the same bytes directly;
-    `tests/test_canonical_json.py` pins it to that one-liner.  As in json,
-    mixed-type keys and values that are not JSON raise TypeError (a circular
-    container, not a JSON value either, raises RecursionError).
+    newline.  A Graph or WeightedGraph anywhere in d is written as its
+    `to_json_dict`.  json's pure-Python encoder, which it runs for an
+    indent, is slow on certificates, so `_write_json` writes the same bytes
+    directly; `tests/test_canonical_json.py` pins it to that one-liner.  As
+    in json, mixed-type keys and values that are not JSON raise TypeError (a
+    circular container, not a JSON value either, raises RecursionError).
     """
     out = []
     _write_json(d, "", out, {})
@@ -573,30 +574,39 @@ def _json_key(k) -> str:
                     f"not {k.__class__.__name__}")
 
 
-def _int_rows(v, ind: str):
-    """The texts, at indent ind, of the items of a plain list of plain dicts
-    that share one set of two or more str keys and hold int values only, as
-    a graph's vertices and half-edges do; None for any other v.  One
-    %-template formats them all."""
-    if type(v) is not list or set(map(type, v)) != {dict}:
-        return None
-    shape = v[0].keys()
-    if (len(shape) < 2 or set(map(type, shape)) != {str}
-            or not all(map(shape.__eq__, map(dict.keys, v)))):
-        return None
-    order = sorted(shape)
-    rows = list(map(itemgetter(*order), v))
-    if set(map(type, chain.from_iterable(rows))) != {int}:
-        return None
-    inner = ind + "  "
-    fields = (",\n" + inner).join(
-        encode_basestring_ascii(k).replace("%", "%%") + ": %d" for k in order)
-    return map(f"{{\n{inner}{fields}\n{ind}}}".__mod__, rows)
+def _block(row, values, ind: str, brackets: str = "[]") -> str:
+    """The JSON list (or object) at indent ind of the texts row(value)."""
+    text = (",\n  " + ind).join(map(row, values))
+    return f"{brackets[0]}\n  {ind}{text}\n{ind}{brackets[1]}" if text else brackets
 
 
-def _write_json(v, ind: str, out: list, keys: dict):
-    """Append the text of v at indent ind to out; keys memoizes the encoded
-    str keys of one document."""
+def _graph_json(obj, ind: str, memo: dict) -> str:
+    """The text of to_json_dict(obj) at indent ind, from the slots of a
+    Graph or WeightedGraph (ids, labels and weights are ints).  Each
+    document's memo keeps the row formatters, so its graphs share rows."""
+    rows = memo.get(("graph rows", ind))
+    if rows is None:
+        r, i4 = "\n" + ind + " " * 6, ind + " " * 4
+        rows = memo["graph rows", ind] = [cache(t.__mod__) for t in (
+            f'{{{r}"id": %d,{r}"partner": %d,{r}"vertex": %d\n{i4}}}',
+            f'{{{r}"half_edge": %d,{r}"label": %d\n{i4}}}',
+            f'{{{r}"id": %d,{r}"weight": %d\n{i4}}}')]
+    half, leg, vertex = rows
+    if isinstance(obj, WeightedGraph):
+        g, weights = obj.graph, map(obj.weight.get, obj.graph.vertices)
+    else:
+        g, weights = obj, repeat(0)
+    hs, ls = g.half_edges, g.legs
+    ends = zip(hs, map(g.involution.get, hs), map(g.endpoint.get, hs))
+    i2 = ind + "  "
+    return (f'{{\n{i2}"half_edges": {_block(half, ends, i2)},\n{i2}"legs": '
+            f'{_block(leg, zip(ls, map(g.leg_labels.get, ls)), i2)},\n{i2}'
+            f'"vertices": {_block(vertex, zip(g.vertices, weights), i2)}\n{ind}}}')
+
+
+def _write_json(v, ind: str, out: list, memo: dict):
+    """Append the text of v at indent ind to out; memo holds one document's
+    encoded str keys and graph row formatters."""
     if isinstance(v, dict):
         if not v:
             out.append("{}")
@@ -604,16 +614,16 @@ def _write_json(v, ind: str, out: list, keys: dict):
         inner = ind + "  "
         sep = "{\n" + inner
         for k, x in sorted(v.items()):
-            ek = keys.get(k) if type(k) is str else None
+            ek = memo.get(k) if type(k) is str else None
             if ek is None:
                 ek = _json_key(k)
                 if type(k) is str:
-                    keys[k] = ek
+                    memo[k] = ek
             if type(x) is int:
                 out.append(f"{sep}{ek}: {x}")
             else:
                 out.append(f"{sep}{ek}: ")
-                _write_json(x, inner, out, keys)
+                _write_json(x, inner, out, memo)
             sep = ",\n" + inner
         out.append("\n" + ind + "}")
     elif isinstance(v, (list, tuple)):
@@ -622,19 +632,19 @@ def _write_json(v, ind: str, out: list, keys: dict):
             return
         inner = ind + "  "
         sep = ",\n" + inner
-        items = map(int.__repr__, v) if all(type(x) is int for x in v) \
-            else _int_rows(v, inner)
-        if items is not None:
-            out.append(f"[\n{inner}{sep.join(items)}\n{ind}]")
+        if all(type(x) is int for x in v):
+            out.append(f"[\n{inner}{sep.join(map(int.__repr__, v))}\n{ind}]")
             return
         out.append("[\n" + inner)
         for i, x in enumerate(v):
             if i:
                 out.append(sep)
-            _write_json(x, inner, out, keys)
+            _write_json(x, inner, out, memo)
         out.append("\n" + ind + "]")
     elif type(v) is int:
         out.append(int.__repr__(v))
+    elif isinstance(v, (Graph, WeightedGraph)):
+        out.append(_graph_json(v, ind, memo))
     else:
         out.append(_encode_scalar(v))
 

@@ -212,7 +212,8 @@ def check_schottky_codim1(g: int) -> bool:
 
 
 def poset_to_json_dict(poset: StrataPoset) -> dict:
-    from .graphs import to_json_dict
+    """The poset as a JSON value for `graphs.dumps_canonical`, each stratum's
+    graph a WeightedGraph."""
     return {
         "genus": poset.g,
         "legs": poset.n,
@@ -222,7 +223,7 @@ def poset_to_json_dict(poset: StrataPoset) -> dict:
                 "index": i,
                 "dimension": s.dimension,
                 "id": form_hash(s.key),
-                "graph": to_json_dict(s.wgraph),
+                "graph": s.wgraph,
             }
             for i, s in enumerate(poset.strata)
         ],

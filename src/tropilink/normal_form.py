@@ -26,23 +26,14 @@ class NormalizedForm:
     __slots__ = ("base", "order", "cycle_edges", "chords", "pos")
 
     def __init__(self, base: Graph, order, cycle_edges):
-        gamma = len(base.vertices)
-        order = tuple(order)
-        cycle_edges = tuple(cycle_edges)
-        if sorted(order) != list(base.vertices) or len(cycle_edges) != gamma:
-            raise GraphError("order must list every vertex once")
-        if len(set(cycle_edges)) != gamma:
-            raise GraphError("cycle edges must be distinct")
-        for t in range(gamma):
-            a, b = order[t], order[(t + 1) % gamma]
-            if base.edge_ends(cycle_edges[t]) != ((a, b) if a <= b else (b, a)):
-                raise GraphError(f"cycle edge {cycle_edges[t]} does not join {a},{b}")
+        cycle = Cycle(base, order, cycle_edges)
+        if cycle.length != len(base.vertices):
+            raise GraphError("a hamiltonian cycle must cover every vertex")
         self.base = base
-        self.order = order
-        self.cycle_edges = cycle_edges
-        self.pos = {v: i + 1 for i, v in enumerate(order)}
+        self.order, self.cycle_edges = cycle.vertices, cycle.edge_keys
+        self.pos = {v: i + 1 for i, v in enumerate(self.order)}
         chords = []
-        cyc = set(cycle_edges)
+        cyc = set(self.cycle_edges)
         for e in base.edges:
             if e in cyc:
                 continue

@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tropilink
-from tropilink.graphs import dumps_canonical
+from tropilink.graphs import (Graph, WeightedGraph, build_graph, contract,
+                              dumps_canonical, petersen_graph, theta_graph,
+                              to_json_dict)
 
 
 def oracle(x) -> str:
@@ -139,3 +141,63 @@ def test_only_graphs_calls_json_dump():
                     and {a.name for a in node.names} & {"dump", "dumps"}):
                 callers.add(path.stem)
     assert callers <= {"graphs"}
+
+
+# Graphs that `dumps_canonical` renders from their slots: weighted, legged,
+# one vertex with no edge, ids with gaps (a contraction), and no legs.
+GRAPHS = [
+    theta_graph(),
+    contract(petersen_graph(), {0, 10}),
+    build_graph([], isolated=[0]),
+    build_graph([], weights={0: 2}, isolated=[0]),
+    build_graph([(0, 0), (0, 1)], legs=[(1, 7), (0, 2)]),
+    build_graph([(0, 1), (1, 2), (1, 1)], legs=[(2, 1)], weights={0: 1, 2: 3}),
+    WeightedGraph(theta_graph()),
+]
+
+
+def as_dicts(x):
+    """x with every graph in it replaced by its to_json_dict."""
+    if isinstance(x, (Graph, WeightedGraph)):
+        return to_json_dict(x)
+    if isinstance(x, dict):
+        return {k: as_dicts(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [as_dicts(v) for v in x]
+    return x
+
+
+def graph_containers(children):
+    lists = st.lists(children, max_size=4)
+    dicts = st.dictionaries(st.sampled_from(["graph", "id", "legs", "a"]),
+                            children, max_size=4)
+    return st.one_of(lists, lists.map(tuple), dicts)
+
+
+values_with_graphs = st.recursive(
+    st.one_of(st.sampled_from(GRAPHS), st.integers(), text),
+    graph_containers, max_leaves=12)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(values_with_graphs)
+def test_graphs_are_written_as_their_json_dict(x):
+    want = oracle(as_dicts(x))
+    assert dumps_canonical(as_dicts(x)) == want
+    assert dumps_canonical(x) == want
+
+
+@pytest.mark.parametrize("g", GRAPHS)
+def test_graph_alone_and_nested(g):
+    for x in (g, [g], {"graph": g}, [[{"a": [g, g]}], {"b": (g,)}]):
+        assert dumps_canonical(x) == oracle(as_dicts(x))
+
+
+def test_graph_rows_are_written_only_by_graphs():
+    """The graph row layout exists once: no other module of the package
+    spells a half-edge, leg or vertex row."""
+    package = pathlib.Path(tropilink.__file__).parent
+    fields = ('"partner"', '"half_edge', '"label"', '"weight"')
+    spelled = {path.stem for path in package.glob("*.py")
+               if any(f in path.read_text() for f in fields)}
+    assert spelled == {"graphs"}

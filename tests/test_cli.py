@@ -134,6 +134,28 @@ def test_link_to_a_full_device_exits_2(tmp_path):
     assert "Traceback" not in r.stderr
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", ["enumerate", "verify"])
+def test_full_stdout_exits_2(tmp_path, command):
+    """When stdout itself cannot be written, the JSON error goes to stderr
+    with exit 2, and nothing fails again when the interpreter flushes
+    stdout at exit: stderr holds the error object and nothing else."""
+    if command == "verify":
+        write_graph(tmp_path / "theta.json", theta_graph())
+        write_graph(tmp_path / "dumbbell.json", dumbbell_graph())
+        assert run_cli("link", "theta.json", "dumbbell.json", "-o",
+                       "cert.json", cwd=tmp_path).returncode == 0
+        argv = ["verify", "cert.json"]
+    else:
+        argv = ["enumerate", "--p", "3", "--genus", "3"]
+    with open("/dev/full", "w") as full:
+        r = subprocess.run([sys.executable, "-m", "tropilink.cli", *argv],
+                           stdout=full, stderr=subprocess.PIPE, text=True,
+                           cwd=tmp_path, env=cli_env())
+    assert r.returncode == 2, r.stderr
+    assert json.loads(r.stderr)["error"].startswith("cannot write to stdout: ")
+
+
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
 def test_link_streams_a_large_certificate_in_little_memory(tmp_path):
     """`link` on the seeded 80-vertex simple cubic pair writes a 34 MB

@@ -1,4 +1,4 @@
-"""Byte-level regression of `movegraph` and `check-codim1` output.
+"""Byte-level regression of the output of the strata commands and `polygon`.
 
 Each command's exit status and the sha256 of its stdout are pinned.  The
 digests were recorded before the move graph was read off the enumeration
@@ -8,7 +8,10 @@ classes, edges or components fails here.  An intended byte change must
 update a digest and say so in CHANGES.md.  The `check-codim1` digests were
 re-pinned when its components came to name strata by the ids of `poset`
 output instead of by index into the whole poset; what those bytes mean is
-checked against `poset` and the full-poset check below.
+checked against `poset` and the full-poset check below.  The `enumerate`,
+`poset` and `polygon` digests were recorded while graph rows were still
+written from `to_json_dict` dict trees, before one writer in graphs.py came
+to render every graph of the output from its slots.
 """
 
 import contextlib
@@ -79,6 +82,15 @@ GOLDEN = {
     "check-codim1 --genus 2 --legs 2 --locus pure": (0, "673a7d2402e4ac6eafc1c3fbc14790676af8b72886e6ba38fb66c91982f97324"),
     "check-codim1 --genus 3 --legs 1": (0, "6843fe31844146f53e185e2a51b39535bbfd61b3180478e4b215e5fba39d4d77"),
     "check-codim1 --genus 3 --legs 1 --locus pure": (0, "18b781750fc4b5e8a10f55b7ae1cdebbef58e809defa8100ea23542d799f04dd"),
+    "enumerate --p 3 --genus 4": (0, "1064fa7b26c1acccfb488f1dcb7f6767123df8f9da24c0c12212a8175d763d65"),
+    "enumerate --p 4 --genus 4": (0, "f6ec0a1c43b51966eaceb504e376cc83ea92aded9f2b450d2af4e08a61bf32e2"),
+    "enumerate --p 3 --genus 4 --3ec": (0, "6dd636ed95e5bc4bf4e95ea28cdaa1eab2c19c57d448cf2d8c023ae93996a3ce"),
+    "enumerate --p 3 --genus 2 --legs 2": (0, "9e051d1918679eda7141908d86cee3b908706ec35e62edf5a8764dd6c895df09"),
+    "poset --genus 3 --format json": (0, "4500783ad0a3f999a04f6ef86ca8fcfeaf651d966759bd63ea42da788103d94c"),
+    "poset --genus 3 --legs 1 --format json": (0, "87e6ed78f70b8fea7615eaa61623eff7ecea7578b3a09e52ed006b061569b533"),
+    "poset --genus 3 --locus 3ec --format json": (0, "900009ef93ad75f0eb9d20e31c8265bb840e8d95fe0e462dcb5eb4f34e74e363"),
+    "polygon --p 3 --gamma 6 --format json": (0, "2510b8e30eb61bd95f77c7c8e51247bc4c7e89a3fd4023ee554ea158efc168c2"),
+    "polygon --p 4 --gamma 5 --format json": (0, "f923d652f8eff90b0148a3114dd7695316da41a396efd92ccfaa8528c0deae94"),
 }
 
 

@@ -19,9 +19,11 @@ import tropilink
 PACKAGE = pathlib.Path(tropilink.__file__).parent
 
 # Constructors and checks offered to library callers that no module calls.
+# `to_json_dict` is the graph schema as a value, and the oracle of the
+# writer that renders graphs from their slots.
 ENTRY_POINTS = {"theta_graph", "dumbbell_graph", "k4_graph", "cycle_graph",
                 "petersen_graph", "enumerate_stable", "check_schottky_codim1",
-                "genus"}
+                "genus", "to_json_dict"}
 
 
 def _package_modules(tree) -> set[str]:
