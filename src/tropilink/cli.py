@@ -26,8 +26,8 @@ from .canonical import form_hash, from_canonical_form
 from .certificates import (_certificate_json, certificate_from_json_dict,
                            verify_certificate)
 from .connectivity import CycleSearchBudgetExceeded
-from .graphs import (GraphError, dumps_canonical, from_json_dict, to_dot,
-                     underlying_graph)
+from .graphs import (GraphError, InternalConsistencyError, dumps_canonical,
+                     from_json_dict, to_dot, underlying_graph)
 from .linkage import link
 from .normal_form import build_polygon
 
@@ -76,7 +76,8 @@ def _cmd_link(args) -> int:
     cert = link(g1, g2, args.mode)
     report = verify_certificate(cert, endpoints=(g1, g2))
     if not report.valid:
-        raise GraphError(f"produced certificate fails to verify: {report}")
+        raise InternalConsistencyError(
+            f"produced certificate fails to verify: {report}")
     _emit(_certificate_json(cert), args.output)
     return 0
 

@@ -119,9 +119,11 @@ class Graph:
     # -- basic accessors ---------------------------------------------------
 
     def edge_halves(self, key: int) -> tuple[int, int]:
-        h2 = self.involution[key]
+        h2 = self.involution.get(key, key)
         if h2 == key:
-            raise GraphError(f"{key} is a leg, not an edge")
+            if key in self.involution:
+                raise GraphError(f"{key} is a leg, not an edge")
+            raise GraphError(f"edge {key} does not exist")
         return (key, h2) if key < h2 else (h2, key)
 
     def edge_ends(self, key: int) -> tuple[int, int]:
@@ -307,9 +309,16 @@ def build_graph(
 
     Edge i gets half-edges 2i and 2i+1, so its key is 2i; legs get the ids
     after the edges.  Returns a WeightedGraph when weights are given.
+    Vertex ids, labels and weights must be ints (not bools), else
+    GraphError.
     """
     edge_list = list(edge_list)
     legs = list(legs)
+    isolated = list(isolated)
+    for x in chain(chain.from_iterable(edge_list), isolated, *zip(*legs),
+                   *(weights or {}).items()):
+        if type(x) is not int:
+            raise GraphError(f"ids, labels and weights must be ints, not {x!r}")
     inv: dict[int, int] = {}
     ep: dict[int, int] = {}
     vs = set(isolated)

@@ -18,7 +18,9 @@ descend both to the p-polygon, and splice the second chain reversed.  The
 hamiltonian cycle that ends hamiltonization is the frame of the descent, so
 no graph of the chain is searched for cycles twice.  Legged graphs are
 linked one leg at a time: the chain without the leg is lifted across, and
-the leg walks between insertion points where it must.
+where a base step would contract the edge the leg sits on, and at the end,
+the leg slides along a shortest path of insertion positions, one strong
+link per vertex it crosses.
 """
 
 from __future__ import annotations
@@ -418,92 +420,77 @@ def _remove_leg(g: Graph, label: int):
     return Graph(vs, inv, ep, labels), pos
 
 
-def _bfs_distance(g: Graph, src: int, dst: int):
-    """Edge-path distance and a shortest path as (vertices, edge keys)."""
-    frontier = [src]
-    prev: dict[int, tuple[int, int] | None] = {src: None}
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for e in g.edges_at(v):
-                u = g.other_end(e, v)
-                if u not in prev:
-                    prev[u] = (v, e)
-                    nxt.append(u)
-        frontier = sorted(nxt)
-        if dst in prev:
-            break
-    if dst not in prev:
-        raise GraphError("vertices are not connected")
-    path_v, path_e = [dst], []
-    while prev[path_v[-1]] is not None:
-        v, e = prev[path_v[-1]]
-        path_e.append(e)
-        path_v.append(v)
-    return len(path_e), path_v[::-1], path_e[::-1]
+def _slides(g: Graph, pos):
+    """(u, q) for each position q sharing a vertex u with pos, in a fixed
+    order: u ascending, then edges by key (a loop once), then legs by id."""
+    kind, key = pos
+    ends = (g.endpoint[key],) if kind == "leg" else sorted(set(g.edge_ends(key)))
+    for u in ends:
+        yield from ((u, ("edge", e)) for e in sorted(g.edges_at(u)))
+        yield from ((u, ("leg", h)) for h in g.legs_at(u))
 
 
-def _edges_between(g: Graph, a: int, b: int) -> list[int]:
-    return sorted(e for e in g.edges_at(a) if g.other_end(e, a) == b and a != b)
+def _slide_edge(g: Graph, v: int, u: int) -> int:
+    """The least-key edge joining the leg vertex v to u."""
+    return min(e for e in g.edges_at(v) if g.other_end(e, v) == u)
 
 
 def _claim_move(base: Graph, pos_from, pos_to, label: int):
-    """Chain of steps between the two leg insertions over the same base.
+    """Chain of steps carrying the leg labeled `label` from one insertion
+    position of base to another, one slide per vertex it crosses.
 
-    Walks the leg vertex toward a reference vertex, one strong link at a
-    time; the recursion measure is the sum of the two edge-path distances.
+    Slide lemma: insert the leg at a position at vertex u, on a new vertex
+    v, and contract v's least-key edge to u.  Whatever the position, this
+    gives base with the leg hung at u: an edge (x, u) is restored; for a
+    loop at u, the other new edge becomes the loop; a leg at u returns to
+    u.  So the insertions at two positions sharing a vertex u are one
+    strong link, each side contracting into u.  The chain has one such
+    step per hop of a shortest path between the positions, found by a BFS
+    in `_slides` order.
     """
-    if pos_from == pos_to:
-        return []
-    A, vA = _add_leg(base, pos_from, label)
-    B, vB = _add_leg(base, pos_to, label)
-    w = min(base.vertices)
-    hA, pathA_v, pathA_e = _bfs_distance(A, vA, w)
-    hB, _, _ = _bfs_distance(B, vB, w)
-
-    if hA == 1 and hB == 1:
-        eA = _edges_between(A, vA, w)[0]
-        eB = _edges_between(B, vB, w)[0]
-        return [strong_link_check(A, eA, B, eB)]
-
-    if hA < hB:
-        back = _claim_move(base, pos_to, pos_from, label)
-        return [s.reversed() for s in reversed(back)]
-
-    # walk the leg one edge closer to w
-    e1 = pathA_e[0]
-    u = pathA_v[1]
-    f = pathA_e[1]
-    if f not in base.edges:
-        raise InternalConsistencyError("walk left the base graph")
-    C, vC = _add_leg(base, ("edge", f), label)
-    e3 = _edges_between(C, u, vC)[0]
-    return ([strong_link_check(A, e1, C, e3)]
-            + _claim_move(base, ("edge", f), pos_to, label))
+    prev = {pos_from: None}
+    frontier = [pos_from]
+    while pos_to not in prev:
+        if not frontier:
+            raise InternalConsistencyError("the leg has no path between positions")
+        nxt = []
+        for p in frontier:
+            for u, q in _slides(base, p):
+                if q not in prev:
+                    prev[q] = (p, u)
+                    nxt.append(q)
+        frontier = nxt
+    steps, q = [], pos_to
+    right, v_right = _add_leg(base, q, label)
+    while prev[q] is not None:
+        q, u = prev[q]
+        left, v_left = _add_leg(base, q, label)
+        steps.append(strong_link_check(left, _slide_edge(left, v_left, u),
+                                       right, _slide_edge(right, v_right, u)))
+        right, v_right = left, v_left
+    return steps[::-1]
 
 
 def _transport_position(step: StrongLinkStep, pos):
     """Carry an insertion position of step.left over to step.right."""
-    _, to_right_e, to_right_l = step.reversed().witness
     kind, key = pos
-    if kind == "edge":
-        return ("edge", to_right_e[key])
-    return ("leg", to_right_l[key])
+    to_left = step.witness[1 if kind == "edge" else 2]
+    return kind, next(k for k, x in to_left.items() if x == key)
 
 
 def _fresh_position(g: Graph, avoid_edge: int):
-    edges = [e for e in g.edges if e != avoid_edge]
-    if edges:
-        return ("edge", min(edges))
-    if g.legs:
-        return ("leg", min(g.legs))
-    raise InternalConsistencyError("no position available to move the leg to")
+    """The first position sharing a vertex with avoid_edge, in `_slides`
+    order, so the leg steps off that edge in one slide."""
+    return next(q for _, q in _slides(g, ("edge", avoid_edge))
+                if q != ("edge", avoid_edge))
 
 
 def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
     """`link` for non-isomorphic legged graphs: link the graphs without the
-    leg labeled `label`, then lift that chain, walking the leg between
-    insertion points where a base step would contract the edge it sits on."""
+    leg labeled `label`, then lift that chain.  Where a base step would
+    contract the edge the leg sits on, the leg first slides to the next
+    position at an end of that edge; after the last step it slides to its
+    place in g2."""
     base1, q1 = _remove_leg(g1, label)
     base2, q2 = _remove_leg(g2, label)
     sub = link(base1, base2)
@@ -536,8 +523,7 @@ def _link_legs(g1: Graph, g2: Graph, label: int) -> LinkageCertificate:
         w = isomorphism_witness(base2, D_last)
         if w is None:
             raise InternalConsistencyError("base chain misses its endpoint")
-        kind, key = q2
-        q2 = ("edge", w[1][key]) if kind == "edge" else ("leg", w[2][key])
+        q2 = (q2[0], w[1 if q2[0] == "edge" else 2][q2[1]])
     push(_claim_move(D_last, cur_pos, q2, label))
 
     steps += _bridge(cur_graph, g2)

@@ -667,6 +667,29 @@ def test_internal_errors_exit_4(monkeypatch, capsys, exc):
     assert "Traceback" in err and type(exc).__name__ in err
 
 
+def test_link_with_a_certificate_that_fails_to_verify_exits_4(
+        tmp_path, monkeypatch, capsys):
+    # a certificate of link's own that fails to verify is a failed
+    # consistency check, not malformed input
+    real_link = cli.link
+
+    def corrupted(g1, g2, mode="plain"):
+        cert = real_link(g1, g2, mode)
+        cert.steps[0].witness = ({}, {}, {})
+        return cert
+    monkeypatch.setattr(cli, "link", corrupted)
+    write_graph(tmp_path / "theta.json", theta_graph())
+    write_graph(tmp_path / "dumbbell.json", dumbbell_graph())
+    out = tmp_path / "cert.json"
+    rc = cli.main(["link", str(tmp_path / "theta.json"),
+                   str(tmp_path / "dumbbell.json"), "-o", str(out)])
+    assert rc == 4
+    message = json.loads(capsys.readouterr().out)["error"]
+    assert message.startswith("internal error: InternalConsistencyError: "
+                              "produced certificate fails to verify")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p", ["2", "1", "0", "-1"])
 def test_verify_p_below_3_exits_2(tmp_path, capsys, p):
     cert = link(theta_graph(), dumbbell_graph())

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from tropilink.connectivity import Cycle
 from tropilink.graphs import (Graph, GraphError, WeightedGraph, build_graph,
                               contract, dumbbell_graph, dumps_canonical,
                               from_json_dict, genus, k4_graph, petersen_graph,
@@ -34,6 +35,38 @@ def test_graph_invariants_enforced():
     with pytest.raises(GraphError):
         # legs need distinct labels
         Graph([0], {0: 0, 1: 1}, {0: 0, 1: 0}, {0: 1, 1: 1})
+
+
+def test_unknown_edge_key_is_a_graph_error():
+    g = petersen_graph()
+    leg = build_graph([(0, 0), (0, 1), (1, 1)], legs=[(0, 1)])
+    for call in (lambda: g.edge_halves(999), lambda: g.edge_ends(999),
+                 lambda: g.is_loop(999), lambda: g.other_end(999, 0),
+                 lambda: Cycle(g, [0, 1], [999, 0])):
+        with pytest.raises(GraphError, match="edge 999 does not exist"):
+            call()
+    with pytest.raises(GraphError, match="6 is a leg, not an edge"):
+        leg.edge_ends(6)
+
+
+@pytest.mark.parametrize("args", [
+    ([(0.5, 1), (1, 0.5), (0.5, 1)], {}),
+    ([(0, 1), (0, 1), (0, True)], {}),
+    ([(0, 1), (0, 1), (0, "1")], {}),
+    ([(0, 1), (0, 1), (0, 1)], {"isolated": [2.0]}),
+    ([(0, 0), (0, 1)], {"legs": [(1.0, 1)]}),
+    ([(0, 0), (0, 1)], {"legs": [(1, 1.0)]}),
+    ([(0, 0), (0, 1)], {"legs": [(1, True)]}),
+    ([(0, 1), (0, 1), (0, 1)], {"weights": {0: 1.5}}),
+    ([(0, 1), (0, 1), (0, 1)], {"weights": {0: False}}),
+    ([(0, 1), (0, 1), (0, 1)], {"weights": {0.0: 1}}),
+], ids=["float-id", "bool-id", "str-id", "float-isolated", "float-leg-vertex",
+        "float-label", "bool-label", "float-weight", "bool-weight",
+        "float-weight-vertex"])
+def test_build_graph_rejects_non_int_ids_labels_and_weights(args):
+    edges, kwargs = args
+    with pytest.raises(GraphError, match="must be ints"):
+        build_graph(edges, **kwargs)
 
 
 def test_valency_counts_loops_twice_and_legs_once():

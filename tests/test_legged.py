@@ -1,14 +1,16 @@
 import itertools
 
+import networkx as nx
 import pytest
 
 from tropilink.atlas import (enumerate_p_regular, is_connected_adjacency,
                              move_graph)
 from tropilink.canonical import are_isomorphic
-from tropilink.certificates import verify_certificate
+from tropilink.certificates import LinkageCertificate, verify_certificate
 from tropilink.connectivity import edge_connectivity_capped
 from tropilink.graphs import GraphError, build_graph
-from tropilink.linkage import _add_leg, _claim_move, _remove_leg, link
+from tropilink.linkage import (_add_leg, _claim_move, _fresh_position,
+                               _remove_leg, link)
 
 
 def legged_classes(g, n):
@@ -38,28 +40,53 @@ def test_add_remove_round_trip():
     assert pos2[0] == "leg"
 
 
-def test_two_insertions_over_same_base_linked():
-    # two leg additions on the same base are joined by a claim walk
-    base = legged_classes(2, 1)[1]
-    positions = [("edge", e) for e in base.edges] + [("leg", base.legs[0])]
-    for qa, qb in itertools.combinations(positions, 2):
-        steps = _claim_move(base, qa, qb, 2)
-        A, _ = _add_leg(base, qa, 2)
-        B, _ = _add_leg(base, qb, 2)
-        if not steps:
-            assert A == B
-            continue
-        assert steps[0].left == A
-        assert steps[-1].right == B
-        from tropilink.certificates import LinkageCertificate
+def _position_graph(base):
+    """networkx graph on the insertion positions of base (edges, a loop
+    once, legs), two of them adjacent when they share a vertex."""
+    at = {}
+    for e in base.edges:
+        for v in set(base.edge_ends(e)):
+            at.setdefault(v, []).append(("edge", e))
+    for h in base.legs:
+        at.setdefault(base.endpoint[h], []).append(("leg", h))
+    pg = nx.Graph()
+    for ps in at.values():
+        pg.add_nodes_from(ps)
+        pg.add_edges_from(itertools.combinations(ps, 2))
+    return pg
 
-        cert = LinkageCertificate([A] + [s.right for s in steps], steps,
-                                  "plain", 3)
-        assert verify_certificate(cert).valid
+
+@pytest.mark.parametrize("g,n", [(1, 2), (2, 1), (2, 2)])
+def test_two_insertions_over_same_base_linked(g, n):
+    # a leg moves between two insertions over the same base in as many
+    # slides as the positions are apart
+    label = n + 1
+    for base in legged_classes(g, n):
+        pg = _position_graph(base)
+        for qa, qb in itertools.combinations(sorted(pg), 2):
+            steps = _claim_move(base, qa, qb, label)
+            A, _ = _add_leg(base, qa, label)
+            B, _ = _add_leg(base, qb, label)
+            assert len(steps) == nx.shortest_path_length(pg, qa, qb)
+            assert steps[0].left == A
+            assert steps[-1].right == B
+            cert = LinkageCertificate([A] + [s.right for s in steps], steps,
+                                      "plain", 3)
+            assert verify_certificate(cert, endpoints=(A, B)).valid
+
+
+@pytest.mark.parametrize("g,n", [(2, 0), (2, 1), (3, 0), (3, 1)])
+def test_fresh_position_is_one_slide_away(g, n):
+    # the leg steps off an edge a base step contracts in one slide
+    for base in enumerate_p_regular(3, g, legs=n):
+        for e in base.edges:
+            q = _fresh_position(base, e)
+            assert q != ("edge", e)
+            assert len(_claim_move(base, ("edge", e), q, n + 1)) == 1
 
 
 def test_adjacent_insertions_single_strong_link():
-    # both new vertices at distance 1 from the reference vertex: one step
+    # a loop and its stem share a vertex: one slide
     base = build_graph([(0, 0), (0, 1)], legs=[(1, 1)])
     loop, stem = base.edges
     steps = _claim_move(base, ("edge", loop), ("edge", stem), 2)

@@ -13,8 +13,9 @@ from tropilink.certificates import (LinkageCertificate, StrongLinkFailure,
                                     StrongLinkStep, strong_link_check,
                                     verify_certificate)
 from tropilink.connectivity import edge_connectivity_capped
-from tropilink.graphs import (GraphError, build_graph, dumbbell_graph,
-                              k4_graph, petersen_graph, theta_graph)
+from tropilink.graphs import (GraphError, build_graph, contract,
+                              dumbbell_graph, k4_graph, petersen_graph,
+                              theta_graph)
 from tropilink.hamiltonize import hamiltonize
 from tropilink.linkage import _select_claim_pair, _walk, link, reduce_to_polygon
 from tropilink.normal_form import NormalizedForm, build_polygon, epsilon, normalize
@@ -618,3 +619,32 @@ def test_descent_with_single_short_chord_odd_gamma():
     assert are_isomorphic(cert.graphs[-1], build_polygon(6, 5))
     cert3 = reduce_to_polygon(g, "3ec")
     assert verify_certificate(cert3, mode="3ec").valid
+
+
+def _three_ec_problems(report):
+    return [p for p in report.problems if p[1] == "three_ec"]
+
+
+def test_3ec_verify_reports_a_non_3ec_graph_once():
+    # every edge cut of G/e is one of G, so a step's middle is not checked
+    # apart from its left graph: a chain graph that is not 3-edge-connected,
+    # whose contraction is not either, is one three_ec problem
+    bad = next(g for g in enumerate_p_regular(3, 3)
+               if edge_connectivity_capped(g) < 3)
+    e = next(e for e in bad.edges if not bad.is_loop(e)
+             and edge_connectivity_capped(contract(bad, {e})) < 3)
+    good = k4_graph()
+    step = StrongLinkStep(bad, e, good, good.edges[0], ({}, {}, {}))
+    report = verify_certificate(LinkageCertificate([bad, good], [step], "3ec", 3))
+    assert not report.valid
+    assert _three_ec_problems(report) == [
+        (0, "three_ec", "graph 0 is not 3-edge-connected")]
+
+
+def test_3ec_verify_of_plain_chains_flags_exactly_the_non_3ec_graphs():
+    classes = enumerate_p_regular(3, 3)
+    for a, b in itertools.combinations(classes, 2):
+        cert = link(a, b)
+        report = verify_certificate(cert, mode="3ec")
+        assert [p[0] for p in _three_ec_problems(report)] == [
+            i for i, g in enumerate(cert.graphs) if edge_connectivity_capped(g) != 3]
